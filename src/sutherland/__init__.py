@@ -61,7 +61,6 @@ from .elliptic_solver import (
     solve_elliptic,
 )
 from .fock import (
-    CQuad,
     FockSector,
     Quad,
     SectorOperator,
@@ -126,7 +125,6 @@ __all__ = [
     "g_helper",
     "regularized_reciprocal",
     "solve_elliptic",
-    "CQuad",
     "FockSector",
     "Quad",
     "SectorOperator",

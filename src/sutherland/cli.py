@@ -154,17 +154,25 @@ def _parse_n(text: str) -> tuple:
         raise ValueError(f"momentum list must be comma-separated integers: {text!r}") from exc
 
 
+def _parse_finite(text: str) -> float:
+    # NaN slips past every comparison-based guard downstream
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_points(text: str) -> tuple:
     pts = []
     for chunk in text.split(";"):
         if not chunk:
             continue
-        pts.append(tuple(float(c) for c in chunk.split(",")))
+        pts.append(tuple(_parse_finite(c) for c in chunk.split(",")))
     return tuple(pts)
 
 
 def _parse_floats(text: str) -> tuple:
-    return tuple(float(c) for c in text.split(","))
+    return tuple(_parse_finite(c) for c in text.split(","))
 
 
 def _nome(config: RunConfig) -> float:
@@ -420,6 +428,8 @@ def _cmd_check_identity(config: RunConfig):
     N = config.N if config.N is not None else 2
     lam = _required_lam(config)
     trials = config.trials if config.trials is not None else 100
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     tol = config.tol if config.tol is not None else 1e-7
     seed = config.seed if config.seed is not None else 0
     qn = _nome(config)
@@ -677,8 +687,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write result to this path (atomic)")
         if nome:
-            p.add_argument("--q", type=float, help="elliptic nome")
-            p.add_argument("--beta", type=float, help="inverse temperature, q = exp(-beta/2)")
+            p.add_argument("--q", type=_parse_finite, help="elliptic nome")
+            p.add_argument("--beta", type=_parse_finite, help="inverse temperature, q = exp(-beta/2)")
         if solver:
             p.add_argument("--N", type=int, help="particle count (checked against --n)")
             p.add_argument("--n", type=_parse_n, help="momentum label, comma list")
@@ -707,7 +717,7 @@ def _build_parser() -> _Parser:
     common(p, nome=True)
     p.add_argument("--N", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_parse_finite)
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("kernel", help="correlation kernel values")

@@ -12,19 +12,28 @@ first, creators restore exactly the level that was removed.
 
 Scalars live in the quadratic extension Q(sqrt(lambda)) since the cubic
 collective Hamiltonian carries odd powers of sqrt(lambda); Quad keeps
-them exact, and CQuad adds the imaginary unit needed while expanding the
-shift generating functional.  The generating-functional route rebuilds
-H_n (n <= 3) from vertex-operator data alone and must reproduce the
-directly constructed matrices; the vertex product is normal ordered
-(creation exponential on the left), which is the only reading of the
-two half-field exponentials that yields finite coefficients.
+them exact.  The shift generating functional is expanded in series over
+the Gaussian rationals Q[i], held as (re, im) pairs of QSeries: every
+mode carries exactly one factor sqrt(lambda), so a term with k modes is
+lambda^(k//2) sqrt(lambda)^(k%2) times a Q[i] series, and each matrix
+entry is accumulated in two halves by the parity of k, becoming a Quad
+only when the coefficient is read off.
+
+The generating-functional route rebuilds H_n (n <= 3) from
+vertex-operator data alone and must reproduce the directly constructed
+matrices; the vertex product is normal ordered (creation exponential on
+the left), which is the only reading of the two half-field exponentials
+that yields finite coefficients.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+
+from .qseries import QSeries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -111,42 +120,6 @@ class Quad:
         if self.r == 0:
             return f"Quad({self.p})"
         return f"Quad({self.p} + {self.r} sqrt({self.lam}))"
-
-
-class CQuad:
-    """Complex scalar over Quad: re + i im."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Quad, im: Quad):
-        self.re, self.im = re, im
-
-    def __add__(self, other):
-        return CQuad(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return CQuad(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return CQuad(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def scale(self, f):
-        return CQuad(self.re * f, self.im * f)
-
-    def __neg__(self):
-        return CQuad(-self.re, -self.im)
-
-    def __eq__(self, other):
-        return isinstance(other, CQuad) and self.re == other.re and self.im == other.im
-
-    def is_zero(self):
-        return self.re.p == 0 and self.re.r == 0 and self.im.p == 0 and self.im.r == 0
-
-    def __repr__(self):
-        return f"CQuad({self.re!r}, {self.im!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -353,33 +326,48 @@ def _apply_mode_term(rows, sector, col, mu, scalar, creators, annihilators):
     rows[i][col] = rows[i][col] + scalar * coef
 
 
+def _add_zero_frequency(rows, sector, lam, prefactor, arity):
+    """Add prefactor times the zero-frequency part of :phi^arity:, where
+    phi's zero mode is sqrt(lam) Q.
+
+    The ordered index tuples in [-L, L]^arity that sum to zero are grouped
+    once by zero count and by their annihilator and creator multisets;
+    each group is applied with its multiplicity folded into its scalar.
+    """
+    L = sector.max_level
+    groups = {}
+    for head in itertools.product(range(-L, L + 1), repeat=arity - 1):
+        last = -sum(head)
+        if not -L <= last <= L:
+            continue
+        idx = head + (last,)
+        key = (
+            idx.count(0),
+            tuple(sorted(m for m in idx if m > 0)),
+            tuple(sorted((-m for m in idx if m < 0), reverse=True)),
+        )
+        groups[key] = groups.get(key, 0) + 1
+    zero_mode = Quad(0, 1, lam) * sector.charge
+    scalars = [Quad(prefactor, 0, lam)]
+    for _ in range(arity):
+        scalars.append(scalars[-1] * zero_mode)
+    terms = [
+        (scalars[zeros] * mult, sum(annihilators), annihilators, creators)
+        for (zeros, annihilators, creators), mult in groups.items()
+    ]
+    for col, mu in enumerate(sector.basis):
+        lv = sum(mu)
+        for scalar, level, annihilators, creators in terms:
+            if level <= lv:
+                _apply_mode_term(rows, sector, col, mu, scalar, creators, annihilators)
+
+
 def op_W3(sector: FockSector, lam) -> SectorOperator:
     """Cubic collective operator: one third of the zero-frequency part of
     the normal-ordered cube of the boson field, zero mode sqrt(lam) Q."""
     lam = Fraction(lam)
-    L, c = sector.max_level, sector.charge
     rows = _zero_matrix(sector.dim, lam)
-    root = Quad(0, 1, lam)
-    third = Fraction(1, 3)
-    triples = [
-        (p, q, r)
-        for p in range(-L, L + 1)
-        for q in range(-L, L + 1)
-        for r in (-p - q,)
-        if -L <= r <= L
-    ]
-    for col, mu in enumerate(sector.basis):
-        for p, q, r in triples:
-            idx = (p, q, r)
-            zeros = idx.count(0)
-            scalar = Quad(third, 0, lam)
-            for _ in range(zeros):
-                scalar = scalar * root * c
-            annihilators = sorted(m for m in idx if m > 0)
-            if sum(annihilators) > sum(mu):
-                continue
-            creators = sorted((-m for m in idx if m < 0), reverse=True)
-            _apply_mode_term(rows, sector, col, mu, scalar, creators, annihilators)
+    _add_zero_frequency(rows, sector, lam, Fraction(1, 3), 3)
     return SectorOperator(sector, _freeze(rows))
 
 
@@ -420,34 +408,14 @@ def op_H3(sector: FockSector, lam) -> SectorOperator:
     ((2 lam - 1)(lam - 1)/2) sum_k k^2 rho(-k) rho(k).
     """
     lam = Fraction(lam)
-    L, c = sector.max_level, sector.charge
+    c = sector.charge
     rows = _zero_matrix(sector.dim, lam)
-    root = Quad(0, 1, lam)
-
-    quads = [
-        (p, q, r, s)
-        for p in range(-L, L + 1)
-        for q in range(-L, L + 1)
-        for r in range(-L, L + 1)
-        for s in (-p - q - r,)
-        if -L <= s <= L
-    ]
-    quarter_lam = Fraction(lam, 4)
+    # (lam/4) :rho^4: zero-frequency part
+    _add_zero_frequency(rows, sector, lam, Fraction(lam, 4), 4)
+    # mixed cubic corrections
+    pref = Quad(0, Fraction(-3, 2) * (lam - 1), lam)
     for col, mu in enumerate(sector.basis):
         lv = sum(mu)
-        # (lam/4) :rho^4: zero-frequency part
-        for idx in quads:
-            zeros = idx.count(0)
-            annihilators = sorted(m for m in idx if m > 0)
-            if sum(annihilators) > lv:
-                continue
-            scalar = Quad(quarter_lam, 0, lam)
-            for _ in range(zeros):
-                scalar = scalar * root * c
-            creators = sorted((-m for m in idx if m < 0), reverse=True)
-            _apply_mode_term(rows, sector, col, mu, scalar, creators, annihilators)
-        # mixed cubic corrections
-        pref = Quad(0, Fraction(-3, 2) * (lam - 1), lam)
         for k in range(2, lv + 1):
             for a in range(1, k):
                 b = k - a
@@ -474,86 +442,50 @@ def op_H3(sector: FockSector, lam) -> SectorOperator:
 
 
 # ---------------------------------------------------------------------------
-# Exact univariate polynomial helpers (coefficient lists, degree-capped).
+# Exact series in the shift angle a.  Real series are QSeries; series over
+# the Gaussian rationals are (re, im) pairs of QSeries.
 # ---------------------------------------------------------------------------
 
 
-def _pf_trim(p, D):
-    return (list(p) + [_ZERO] * (D + 1))[: D + 1]
+def _gmul(x, y):
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def _pf_add(p, q):
-    return [a + b for a, b in zip(p, q)]
-
-def _pf_scale(p, f):
-    return [a * f for a in p]
+def _gadd(x, y):
+    return x[0] + y[0], x[1] + y[1]
 
 
-def _pf_mul(p, q, D):
+def _gone(D):
+    return QSeries.constant(_ONE, D), QSeries.zero(D)
+
+
+def _half_angle_series(D, odd):
+    """sin(a/2) when `odd`, else cos(a/2), through a^D."""
     out = [_ZERO] * (D + 1)
-    for i, a in enumerate(p):
-        if a == 0 or i > D:
-            continue
-        for j, b in enumerate(q):
-            if i + j > D:
-                break
-            if b != 0:
-                out[i + j] += a * b
-    return out
-
-
-def _pf_inv(p, D):
-    """Reciprocal of a series with constant term 1."""
-    assert p[0] == 1
-    out = [_ZERO] * (D + 1)
-    out[0] = _ONE
-    for t in range(1, D + 1):
-        acc = _ZERO
-        for i in range(1, t + 1):
-            if i < len(p):
-                acc += p[i] * out[t - i]
-        out[t] = -acc
-    return out
-
-
-def _series_sin(D, half=False):
-    s = Fraction(1, 2) if half else _ONE
-    out = [_ZERO] * (D + 1)
-    for k in range(0, (D - 1) // 2 + 1):
-        t = 2 * k + 1
-        out[t] = Fraction((-1) ** k, factorial(t)) * s**t
-    return out
-
-
-def _series_cos(D, half=False):
-    s = Fraction(1, 2) if half else _ONE
-    out = [_ZERO] * (D + 1)
-    for k in range(0, D // 2 + 1):
-        t = 2 * k
-        out[t] = Fraction((-1) ** k, factorial(t)) * s**t
-    return out
+    for t in range(1 if odd else 0, D + 1, 2):
+        out[t] = Fraction((-1) ** (t // 2), factorial(t) * 2**t)
+    return QSeries(out, D)
 
 
 def _series_tan_half(D):
-    return _pf_mul(_series_sin(D, half=True), _pf_inv(_series_cos(D, half=True), D), D)
+    return _half_angle_series(D, odd=True) * _half_angle_series(D, odd=False).reciprocal()
 
 
 def _series_cos_half_pow(lam, D):
     """cos(a/2)^lam = exp(lam log cos(a/2)), exact in Fraction."""
-    cosm1 = _series_cos(D, half=True)
-    cosm1[0] = _ZERO
     # log(1 + u) with u = cos - 1 = O(a^2)
-    logc = [_ZERO] * (D + 1)
-    upow = [_ONE] + [_ZERO] * D
+    u = _half_angle_series(D, odd=False) - 1
+    logc = QSeries.zero(D)
+    upow = QSeries.constant(_ONE, D)
     for t in range(1, D // 2 + 1):
-        upow = _pf_mul(upow, cosm1, D)
-        logc = _pf_add(logc, _pf_scale(upow, Fraction((-1) ** (t + 1), t)))
-    logc = _pf_scale(logc, Fraction(lam))
-    out = [_ONE] + [_ZERO] * D
-    term = [_ONE] + [_ZERO] * D
+        upow = upow * u
+        logc = logc + upow * Fraction((-1) ** (t + 1), t)
+    logc = logc * Fraction(lam)
+    out = term = QSeries.constant(_ONE, D)
     for t in range(1, D + 1):
-        term = _pf_scale(_pf_mul(term, logc, D), Fraction(1, t))
-        out = _pf_add(out, term)
+        term = term * logc * Fraction(1, t)
+        out = out + term
     return out
 
 
@@ -578,151 +510,110 @@ def genfun_coeffs(lam, order: int):
         raise ValueError("a-degree capped at 8")
     lam = Fraction(lam)
     D = order
-    tanh = _series_tan_half(D)
+    minus_tan = -_series_tan_half(D)
+    minus_tan_pow = [QSeries.constant(_ONE, D)]
+    for _ in range(D):
+        minus_tan_pow.append(minus_tan_pow[-1] * minus_tan)
     # N_k(c) = (2 arctan c)^k / (1 + c^2), coefficients through c^D
-    inv1c2 = [_ZERO] * (D + 1)
-    for k in range(0, D // 2 + 1):
-        inv1c2[2 * k] = Fraction((-1) ** k)
-    atan2 = [_ZERO] * (D + 1)
-    for k in range(0, (D - 1) // 2 + 1):
-        atan2[2 * k + 1] = Fraction(2 * (-1) ** k, 2 * k + 1)
+    nk = QSeries(
+        [_ZERO if t % 2 else Fraction((-1) ** (t // 2)) for t in range(D + 1)], D
+    )
+    atan2 = QSeries(
+        [Fraction(2 * (-1) ** (t // 2), t) if t % 2 else _ZERO for t in range(D + 1)], D
+    )
     v = []
-    nk = inv1c2
-    minus_tan_pow = {0: [_ONE] + [_ZERO] * D}
-    for ell in range(1, D + 1):
-        minus_tan_pow[ell] = _pf_mul(
-            minus_tan_pow[ell - 1], _pf_scale(tanh, Fraction(-1)), D
-        )
     for k in range(0, D + 1):
         if k > 0:
-            nk = _pf_mul(nk, atan2, D)
-        vk = [_ZERO] * (D + 1)
+            nk = nk * atan2
+        vk = QSeries.zero(D)
         for ell in range(k, D + 1):
-            coef = _gen_binom(lam, ell + 1) * nk[ell]
+            coef = _gen_binom(lam, ell + 1) * nk.coeffs[ell]
             if coef != 0:
-                vk = _pf_add(vk, _pf_scale(minus_tan_pow[ell], coef))
-        vk = _pf_scale(vk, Fraction(1, lam * factorial(k)))
-        v.append(vk)
-    w = [[_ONE] + [_ZERO] * D]
+                vk = vk + minus_tan_pow[ell] * coef
+        v.append(vk * Fraction(1, lam * factorial(k)))
+    w = [QSeries.constant(_ONE, D)]
     for s in range(1, D + 1):
-        acc = [_ZERO] * (D + 1)
+        acc = QSeries.zero(D)
         for k in range(s):
-            acc = _pf_add(acc, _pf_mul(v[s - k], w[k], D))
-        w.append(_pf_scale(acc, Fraction(-1)))
-    return w, v
+            acc = acc + v[s - k] * w[k]
+        w.append(-acc)
+    return [list(x.coeffs) for x in w], [list(x.coeffs) for x in v]
 
 
 # ---------------------------------------------------------------------------
-# Generating-functional route to the H_n matrices.
+# Generating-functional route to the H_n matrices.  Multiset tables map a
+# sorted tuple of modes to a Gaussian series; the factor sqrt(lam) each
+# mode carries is left out, so an entry with k modes stands for
+# sqrt(lam)^k times its series.  A k-mode entry is O(a^k), so tables keep
+# no multiset longer than the truncation order.
 # ---------------------------------------------------------------------------
 
 
-def _cq(lam, p=0, r=0, ip=0, ir=0):
-    return CQuad(Quad(p, r, lam), Quad(ip, ir, lam))
-
-
-def _pc_zero(lam, D):
-    return [_cq(lam)] * (D + 1)
-
-
-def _pc_add(p, q):
-    return [a + b for a, b in zip(p, q)]
-
-
-def _pc_mul(p, q, D, lam):
-    out = [_cq(lam) for _ in range(D + 1)]
-    for i, a in enumerate(p):
-        if i > D or a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            if i + j > D:
-                break
-            if not b.is_zero():
-                out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _mode_series(m, sign, lam, D):
-    """-i sqrt(lam) h_{sign m}(a) with h_n(a) = (e^{i n a} - 1)/(i n)."""
-    out = [_cq(lam) for _ in range(D + 1)]
+def _mode_series(m, sign, D):
+    """-i h_{sign m}(a) with h_n(a) = (e^{i n a} - 1)/(i n); the mode's
+    exponent coefficient is sqrt(lam) times this."""
+    re, im = [_ZERO] * (D + 1), [_ZERO] * (D + 1)
     # h: coefficient of a^t is (i sign m)^{t-1} / t!
     re_part, im_part = _ONE, _ZERO  # (i sign m)^{t-1}, t = 1
     for t in range(1, D + 1):
         f = Fraction(1, factorial(t))
-        # multiply by -i sqrt(lam): (re + i im) -> sqrt(lam) (im - i re)
-        out[t] = _cq(lam, r=im_part * f, ir=-re_part * f)
+        # multiply by -i: (re + i im) -> im - i re
+        re[t], im[t] = im_part * f, -re_part * f
         re_part, im_part = -im_part * sign * m, re_part * sign * m
+    return QSeries(re, D), QSeries(im, D)
+
+
+def _table_mul(d1, d2, D):
+    """Product of two multiset tables, dropping multisets longer than D."""
+    out = {}
+    for k1, p1 in d1.items():
+        for k2, p2 in d2.items():
+            nk = tuple(sorted(k1 + k2))
+            if len(nk) > D:
+                continue
+            contrib = _gmul(p1, p2)
+            out[nk] = _gadd(out[nk], contrib) if nk in out else contrib
     return out
 
 
-def _exp_mode_dict(sector, sign, lam, D):
+def _exp_mode_dict(sector, sign, D):
     """Multiset expansion of exp(sum_m coeff_m(a) rho(sign m)), modes 1..L."""
-    table = {(): [_cq(lam, p=1)] + [_cq(lam)] * D}
+    table = {(): _gone(D)}
     for m in range(1, sector.max_level + 1):
-        base = _mode_series(m, sign, lam, D)
-        powt = [_cq(lam, p=1)] + [_cq(lam)] * D
-        additions = []
+        base = _mode_series(m, sign, D)
+        powers = {}
+        powt = _gone(D)
         for t in range(1, D + 1):
-            powt = _pc_mul(powt, base, D, lam)
-            if all(x.is_zero() for x in powt):
-                break
-            additions.append((t, [x.scale(Fraction(1, factorial(t))) for x in powt]))
-        new = dict(table)
-        for key, poly in table.items():
-            for t, pw in additions:
-                nk = tuple(sorted(key + (m,) * t))
-                contrib = _pc_mul(poly, pw, D, lam)
-                if all(x.is_zero() for x in contrib):
-                    continue
-                if nk in new:
-                    new[nk] = _pc_add(new[nk], contrib)
-                else:
-                    new[nk] = contrib
-        table = new
+            powt = _gmul(powt, base)
+            f = Fraction(1, factorial(t))
+            powers[(m,) * t] = (powt[0] * f, powt[1] * f)
+        table.update(_table_mul(table, powers, D))
     return table
 
 
-def _deriv_factor(sector, s, lam, D):
+def _deriv_factor(sector, s, D):
     """Multiset expansion of the s-th derivative prefactor of the
     annihilation exponential: 1, B', or B'^2 + B'' built from
     B^{(r)} = sum_m (i m)^r coeff_m(a) rho(m)."""
-    one = {(): [_cq(lam, p=1)] + [_cq(lam)] * D}
     if s == 0:
-        return one
+        return {(): _gone(D)}
 
     # B^{(r)} carries an extra (i m)^r per mode relative to the exponent
     def b_r(r):
         d = {}
         for m in range(1, sector.max_level + 1):
-            base = _mode_series(m, +1, lam, D)
             re_f, im_f = _ONE, _ZERO
             for _ in range(r):
                 re_f, im_f = -im_f * m, re_f * m
-            fac = _cq(lam, p=re_f, ip=im_f)
-            d[(m,)] = [fac * x for x in base]
+            factor = QSeries.constant(re_f, D), QSeries.constant(im_f, D)
+            d[(m,)] = _gmul(_mode_series(m, +1, D), factor)
         return d
-
-    def d_mul(d1, d2):
-        out = {}
-        for k1, p1 in d1.items():
-            for k2, p2 in d2.items():
-                nk = tuple(sorted(k1 + k2))
-                contrib = _pc_mul(p1, p2, D, lam)
-                if nk in out:
-                    out[nk] = _pc_add(out[nk], contrib)
-                else:
-                    out[nk] = contrib
-        return out
 
     if s == 1:
         return b_r(1)
     if s == 2:
-        out = d_mul(b_r(1), b_r(1))
-        for key, poly in b_r(2).items():
-            if key in out:
-                out[key] = _pc_add(out[key], poly)
-            else:
-                out[key] = poly
+        out = _table_mul(b_r(1), b_r(1), D)
+        out.update(b_r(2))  # one-mode keys, disjoint from the two-mode ones
         return out
     raise ValueError("derivative order above 2 is never needed for n <= 3")
 
@@ -744,62 +635,68 @@ def genfun_operator(n: int, sector: FockSector, lam) -> SectorOperator:
     c = sector.charge
     w, _v = genfun_coeffs(lam, D)
     # u(a)/a = 2 lam cos(a/2)^lam tan(a/2) / a, constant term 1
-    u = _pf_scale(
-        _pf_mul(_series_cos_half_pow(lam, D + 1), _series_tan_half(D + 1), D + 1),
-        2 * Fraction(lam),
-    )
+    u = _series_cos_half_pow(lam, D + 1) * _series_tan_half(D + 1) * (2 * lam)
     # u = lam a (1 + ...); the trailing 1/lam is folded into g_s below
-    u_shift = _pf_scale(u[1 : D + 2], Fraction(1, lam))
-    assert u_shift[0] == 1
-    uinv = _pf_inv(u_shift, D)
+    u_shift = QSeries(u.coeffs[1:], D) * Fraction(1, lam)
+    assert u_shift.coeffs[0] == 1
+    uinv = u_shift.reciprocal()
 
     # zero-mode scalar exp(-i lam c a) from both vertex halves
-    e0 = [_cq(lam) for _ in range(D + 1)]
+    e0_re, e0_im = [_ZERO] * (D + 1), [_ZERO] * (D + 1)
     re_f, im_f = _ONE, _ZERO
     for t in range(0, D + 1):
-        e0[t] = _cq(lam, p=re_f * Fraction(1, factorial(t)), ip=im_f * Fraction(1, factorial(t)))
+        f = Fraction(1, factorial(t))
+        e0_re[t], e0_im[t] = re_f * f, im_f * f
         re_f, im_f = im_f * lam * c, -re_f * lam * c
+    e0 = QSeries(e0_re, D), QSeries(e0_im, D)
 
-    cre = _exp_mode_dict(sector, -1, lam, D)
+    # g_s = a w_s / u as a regular series; the s-th term carries i g_s
+    gs = [QSeries(w[s], D) * uinv * Fraction(1, lam) for s in range(max(1, n))]
+    # The annihilation side summed over s, each weighted by e0 i g_s: the
+    # creation side and the annihilation coefficient are the same for every s.
+    ann_exp = _exp_mode_dict(sector, +1, D)
+    ann = {}
+    for s, g in enumerate(gs):
+        weight = _gmul(e0, (QSeries.zero(D), g))
+        for modes, p in _table_mul(_deriv_factor(sector, s, D), ann_exp, D).items():
+            contrib = _gmul(p, weight)
+            ann[modes] = _gadd(ann[modes], contrib) if modes in ann else contrib
+    ann = [(m, sum(m), len(m), p[0].coeffs, p[1].coeffs) for m, p in ann.items()]
     cre_by_sum = {}
-    for key, poly in cre.items():
-        cre_by_sum.setdefault(sum(key), []).append((key, poly))
+    for key, (pr, pi) in _exp_mode_dict(sector, -1, D).items():
+        cre_by_sum.setdefault(sum(key), []).append((key, len(key), pr.coeffs, pi.coeffs))
+    lam_pow = [lam**j for j in range(D // 2 + 1)]
 
+    # acc[i][j] = [even re, even im, odd re, odd im]: the a^D coefficient
+    # of entry (i, j) is even + sqrt(lam) odd, by parity of the mode count
     dim = sector.dim
-    acc = [[_pc_zero(lam, D) for _ in range(dim)] for _ in range(dim)]
-    ann_exp = _exp_mode_dict(sector, +1, lam, D)
-    for s in range(0, max(1, n)):
-        # g_s = i a w_s / u as a regular series
-        gs_f = _pf_mul(w[s], uinv, D)
-        gs = [_cq(lam, ip=x * Fraction(1, lam)) for x in gs_f]
-        dfac = _deriv_factor(sector, s, lam, D)
-        ann = {}
-        for k1, p1 in dfac.items():
-            for k2, p2 in ann_exp.items():
-                nk = tuple(sorted(k1 + k2))
-                contrib = _pc_mul(p1, p2, D, lam)
-                if all(x.is_zero() for x in contrib):
+    acc = [[[_ZERO] * 4 for _ in range(dim)] for _ in range(dim)]
+    for col, mu in enumerate(sector.basis):
+        lv = sum(mu)
+        for modes, level, ka, ar, ai in ann:
+            if level > lv:
+                continue
+            r = _annihilate(mu, modes)
+            if r is None:
+                continue
+            coefa, tau = r
+            for key, kc, cr, ci in cre_by_sum.get(level, ()):
+                k = ka + kc
+                if k > D:
                     continue
-                if nk in ann:
-                    ann[nk] = _pc_add(ann[nk], contrib)
-                else:
-                    ann[nk] = contrib
-        for col, mu in enumerate(sector.basis):
-            for modes, pa in ann.items():
-                r = _annihilate(mu, modes)
-                if r is None:
-                    continue
-                coefa, tau = r
-                for key, pc in cre_by_sum.get(sum(modes), []):
-                    sigma = _create(tau, key)
-                    i = sector.index(sigma)
-                    term = _pc_mul(pa, pc, D, lam)
-                    term = [x.scale(coefa) for x in term]
-                    term = _pc_mul(term, e0, D, lam)
-                    if s == 0 and not modes and not key:
-                        term[0] = term[0] - _cq(lam, p=1)
-                    term = _pc_mul(term, gs, D, lam)
-                    acc[i][col] = _pc_add(acc[i][col], term)
+                # a^D coefficient of the product; the factors are O(a^ka), O(a^kc)
+                re = im = _ZERO
+                for t in range(ka, D - kc + 1):
+                    re += ar[t] * cr[D - t] - ai[t] * ci[D - t]
+                    im += ar[t] * ci[D - t] + ai[t] * cr[D - t]
+                scale = coefa * lam_pow[k // 2]
+                entry = acc[sector.index(_create(tau, key))][col]
+                h = 2 * (k % 2)
+                entry[h] += re * scale
+                entry[h + 1] += im * scale
+    # the s = 0 identity subtracted from the bare vertex product, times i g_0
+    for i in range(dim):
+        acc[i][i][1] -= gs[0].coeffs[D]
 
     # H_n = n! i^n [a^{n+1}] (a W(a))
     re_f, im_f = Fraction(factorial(n)), _ZERO
@@ -808,12 +705,13 @@ def genfun_operator(n: int, sector: FockSector, lam) -> SectorOperator:
     rows = _zero_matrix(dim, lam)
     for i in range(dim):
         for j in range(dim):
-            val = acc[i][j][n + 1]
-            out = CQuad(val.re * re_f - val.im * im_f, val.re * im_f + val.im * re_f)
-            if not (out.im.p == 0 and out.im.r == 0):
+            er, ei, odr, odi = acc[i][j]
+            re = Quad(er * re_f - ei * im_f, odr * re_f - odi * im_f, lam)
+            im = Quad(er * im_f + ei * re_f, odr * im_f + odi * re_f, lam)
+            if not (im.p == 0 and im.r == 0):
                 raise AssertionError(
-                    f"generating functional produced a complex entry {out!r} "
-                    f"at ({i},{j}) for n={n}"
+                    f"generating functional produced a complex entry "
+                    f"{re!r} + i {im!r} at ({i},{j}) for n={n}"
                 )
-            rows[i][j] = out.re
+            rows[i][j] = re
     return SectorOperator(sector, _freeze(rows))

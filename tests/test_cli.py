@@ -119,6 +119,23 @@ def test_usage_error_exits_1():
     assert exc.value.code == 1
 
 
+def test_non_finite_numbers_are_usage_errors(capsys):
+    # NaN coordinates used to pass the collision guard and reach the JSON
+    for argv in (
+        ["kernel", "--lambda", "2", "--q", "0.1", "--n", "1,0", "--points", "nan,1.0"],
+        ["kernel", "--lambda", "2", "--q", "nan", "--n", "1,0", "--points", "0.9,2.17"],
+        ["theta", "--q", "0.1", "--x", "0.5,inf"],
+        ["solve-elliptic", "--lambda", "2", "--n", "1,0", "--K", "1", "--beta", "inf"],
+        ["check-identity", "--lambda", "2", "--q", "0.2", "--tol", "inf"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+
 def test_coupling_is_required(capsys):
     for argv in (
         ["spectrum", "--n", "1,0"],
@@ -174,6 +191,16 @@ def test_check_identity_seeded(capsys):
     assert code == 0
     assert data["passed"] is True
     assert data["max_residual"] < 1e-7
+
+
+def test_check_identity_needs_a_trial(capsys):
+    for trials in ("0", "-2"):
+        code, data = _run_json(
+            capsys, "check-identity", "--lambda", "2", "--q", "0.2", "--trials", trials
+        )
+        assert code == 1
+        assert data["error"]["kind"] == "invalid-input"
+        assert "--trials" in data["error"]["message"]
 
 
 def test_byte_determinism(tmp_path):
@@ -290,6 +317,12 @@ def test_genfun_frozen_weights(capsys):
     assert data["v"][0] == [1, 0, "-1/12", 0, "-1/72"]
     assert data["w"][0] == [1, 0, 0, 0, 0]
     assert data["w"][1][1] == 1  # (lam - 1)/2 at lam = 3
+
+
+def test_genfun_negative_order_is_invalid_input(capsys):
+    code, data = _run_json(capsys, "genfun", "--lambda", "2", "--order", "-1")
+    assert code == 1
+    assert data["error"]["kind"] == "invalid-input"
 
 
 def test_run_config_round_trip():

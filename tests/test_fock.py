@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from sutherland.fock import (
-    CQuad,
     Quad,
     build_sector,
     commutator,
@@ -318,8 +317,12 @@ def test_genfun_degree_cap():
         genfun_coeffs(2, 9)
 
 
-@pytest.mark.parametrize("c", [0, 1, 2])
-@pytest.mark.parametrize("lam", [1, 2, 3])
+# perfect-square and fractional couplings exercise Quad folding and the
+# sqrt(lam) parity bookkeeping of the generating functional
+@pytest.mark.parametrize("c", [-1, 0, 1, 2])
+@pytest.mark.parametrize(
+    "lam", [1, 2, 3, F(1, 2), F(9, 4), 4], ids=lambda lam: str(lam).replace("/", "_")
+)
 def test_genfun_reproduces_all_four_operators(c, lam):
     s = build_sector(c, 3)
     assert all(
