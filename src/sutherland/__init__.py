@@ -51,12 +51,10 @@ from .correlation import (
 )
 from .elliptic_solver import (
     EllipticEigenpair,
-    alpha_elliptic,
     eigenfunction_elliptic,
     eigenfunction_evaluator,
     eigenvalue_explicit,
     eigenvalue_implicit,
-    g_helper,
     regularized_reciprocal,
     solve_elliptic,
 )
@@ -117,12 +115,10 @@ __all__ = [
     "functional_identity_residual",
     "kernel_batch",
     "EllipticEigenpair",
-    "alpha_elliptic",
     "eigenfunction_elliptic",
     "eigenfunction_evaluator",
     "eigenvalue_explicit",
     "eigenvalue_implicit",
-    "g_helper",
     "regularized_reciprocal",
     "solve_elliptic",
     "FockSector",

@@ -4,8 +4,7 @@ Output is canonical JSON (keys sorted, exact rationals as integers or
 "p/q" strings, power series as {"coefficients": [...], "order": K}) or
 CSV with a header row for tabular results.  Identical configuration,
 including the seed, yields byte-identical output; files are written
-atomically; SUTHERLAND_THREADS bounds the worker pool for independent
-jobs.  Exit codes: 0 success, 2 resonance, 3 inadmissible input, 4
+atomically.  Exit codes: 0 success, 2 resonance, 3 inadmissible input, 4
 convergence failure, 1 anything else.
 
 Every JSON result embeds its own configuration, and `verify FILE`
@@ -112,6 +111,20 @@ class RunConfig:
     output: str | None = None
     file: str | None = None
 
+    def __post_init__(self):
+        # NaN slips past every comparison-based guard downstream
+        numbers = {
+            "q": [self.q],
+            "beta": [self.beta],
+            "tol": [self.tol],
+            "x": self.x or (),
+            "points": [c for pt in self.points or () for c in pt],
+        }
+        for name, values in numbers.items():
+            for value in values:
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{name}: not a finite number: {value!r}")
+
     def payload(self) -> dict:
         out = {}
         for key in _CONFIG_KEYS:
@@ -154,25 +167,17 @@ def _parse_n(text: str) -> tuple:
         raise ValueError(f"momentum list must be comma-separated integers: {text!r}") from exc
 
 
-def _parse_finite(text: str) -> float:
-    # NaN slips past every comparison-based guard downstream
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
 def _parse_points(text: str) -> tuple:
     pts = []
     for chunk in text.split(";"):
         if not chunk:
             continue
-        pts.append(tuple(_parse_finite(c) for c in chunk.split(",")))
+        pts.append(tuple(float(c) for c in chunk.split(",")))
     return tuple(pts)
 
 
 def _parse_floats(text: str) -> tuple:
-    return tuple(_parse_finite(c) for c in text.split(","))
+    return tuple(float(c) for c in text.split(","))
 
 
 def _nome(config: RunConfig) -> float:
@@ -209,24 +214,6 @@ def _quad(config: RunConfig) -> QuadratureSpec:
     if config.quad_points is None:
         return QuadratureSpec()
     return QuadratureSpec(points_per_circle=config.quad_points)
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SUTHERLAND_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = _worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +365,16 @@ def _cmd_solve_elliptic(config: RunConfig):
     K = config.K if config.K is not None else 3
     budget = config.budget if config.budget is not None else 4
     qn = _nome(config)
-    pair = solve_elliptic(n, lam, K, budget)
+    if config.points:
+        try:
+            quad = _quad(config)
+        except ValueError:
+            # a failing solve is reported ahead of a bad --quad-points
+            solve_elliptic(n, lam, K, budget)
+            raise
+        psi, pair = eigenfunction_evaluator(n, lam, qn, K, budget, quad)
+    else:
+        pair = solve_elliptic(n, lam, K, budget)
     xval = qn * qn
     records = [
         {"label": list(m), "series": series}
@@ -401,8 +397,6 @@ def _cmd_solve_elliptic(config: RunConfig):
         },
     }
     if config.points:
-        quad = _quad(config)
-        psi, _ = eigenfunction_evaluator(n, lam, qn, K, budget, quad)
         energy = float(pair.energy.evaluate(xval))
         ctx = ThetaContext.from_q(qn)
         lam_num = int(lam) if lam == int(lam) else float(lam)
@@ -448,9 +442,7 @@ def _cmd_check_identity(config: RunConfig):
                 return list(pts[:N]), list(pts[N:])
 
     pairs = [draw_pair() for _ in range(trials)]
-    residuals = _pmap(
-        lambda pair: functional_identity_residual(pair[0], pair[1], lam, ctx), pairs
-    )
+    residuals = [functional_identity_residual(x, y, lam, ctx) for x, y in pairs]
     payload = {
         "N": N,
         "lambda": lam,
@@ -687,8 +679,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write result to this path (atomic)")
         if nome:
-            p.add_argument("--q", type=_parse_finite, help="elliptic nome")
-            p.add_argument("--beta", type=_parse_finite, help="inverse temperature, q = exp(-beta/2)")
+            p.add_argument("--q", type=float, help="elliptic nome")
+            p.add_argument("--beta", type=float, help="inverse temperature, q = exp(-beta/2)")
         if solver:
             p.add_argument("--N", type=int, help="particle count (checked against --n)")
             p.add_argument("--n", type=_parse_n, help="momentum label, comma list")
@@ -717,7 +709,7 @@ def _build_parser() -> _Parser:
     common(p, nome=True)
     p.add_argument("--N", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=_parse_finite)
+    p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("kernel", help="correlation kernel values")
@@ -747,7 +739,10 @@ def main(argv=None) -> int:
     for f in fields(RunConfig):
         if hasattr(ns, f.name):
             kwargs[f.name] = getattr(ns, f.name)
-    config = RunConfig(**kwargs)
+    try:
+        config = RunConfig(**kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
     return run(config)
 
 

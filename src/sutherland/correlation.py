@@ -43,8 +43,6 @@ from .theta import (
 
 __all__ = [
     "QuadratureSpec",
-    "F_NM",
-    "vev_phase",
     "psi0",
     "cP_kernel",
     "kernel_batch",
@@ -52,7 +50,6 @@ __all__ = [
     "functional_identity_residual",
     "Psi0Evaluator",
     "SeriesEvaluator",
-    "PlaneWave",
 ]
 
 _MAX_PARTICLES = 4
@@ -70,7 +67,6 @@ class QuadratureSpec:
 
     points_per_circle: int = 64
     epsilon: float = 0.5
-    mode: str = "trapezoid"
     conv_tol: float = 1e-5
 
     def __post_init__(self):
@@ -79,8 +75,6 @@ class QuadratureSpec:
             raise ValueError("points_per_circle must be a power of two >= 16")
         if not self.epsilon > 0:
             raise ValueError("contour spacing must be positive")
-        if self.mode != "trapezoid":
-            raise ValueError(f"unknown quadrature mode {self.mode!r}")
 
     def validate(self, ctx: ThetaContext, N: int) -> None:
         """The N nested circles must fit strictly inside the first lattice shell."""
@@ -123,32 +117,6 @@ def _has_negative_factor(x, y, ctx: ThetaContext) -> bool:
         for yk in y:
             vals.append(theta_elliptic(xj - yk, ctx))
     return any(v < 0 for v in vals)
-
-
-def F_NM(x, y, lam, ctx: ThetaContext) -> float:
-    """Charge-sector correlation ratio of half-angle theta products.
-
-    prod_{j<k} theta(x_j - x_k)^lam * prod_{j<k} theta(y_k - y_j)^lam
-    / prod_{j,k} theta(x_j - y_k)^lam.  The center-of-mass phase is a
-    separate factor: vev_phase.
-    """
-    x, y = list(x), list(y)
-    out = 1.0
-    for j in range(len(x)):
-        for k in range(j + 1, len(x)):
-            out *= _theta_pow(x[j] - x[k], lam, ctx)
-    for j in range(len(y)):
-        for k in range(j + 1, len(y)):
-            out *= _theta_pow(y[k] - y[j], lam, ctx)
-    for xj in x:
-        for yk in y:
-            out /= _theta_pow(xj - yk, lam, ctx)
-    return out
-
-
-def vev_phase(x, y, lam) -> complex:
-    """Unbalanced-charge phase e^{i lam (N - M)(X + Y)/2}, X = sum x, Y = sum y."""
-    return cmath.exp(0.5j * float(lam) * (len(x) - len(y)) * (sum(x) + sum(y)))
 
 
 def psi0(x, lam, ctx: ThetaContext) -> complex:
@@ -394,22 +362,6 @@ class SeriesEvaluator:
             val0 * (d2S[j] + 2.0 * dS[j] * u[j] + S * (u[j] * u[j] + up[j]))
             for j in range(N)
         ]
-        return val, grad, second
-
-
-class PlaneWave:
-    """exp(i sum k_j x_j); the free sanity case."""
-
-    def __init__(self, kvec):
-        self.k = [float(v) for v in kvec]
-
-    def __call__(self, x) -> complex:
-        return cmath.exp(1j * sum(kj * xj for kj, xj in zip(self.k, x)))
-
-    def derivatives(self, x):
-        val = self(x)
-        grad = [1j * kj * val for kj in self.k]
-        second = [-(kj * kj) * val for kj in self.k]
         return val, grad, second
 
 

@@ -26,14 +26,13 @@ The loop-sum route re-derives the eigenvalue independently of the joint
 solve: G_k(n) sums closed hop loops weighted by complete homogeneous
 polynomials in the inverse gaps at the intermediate points, and the
 correction Delta = E - E0(n) solves Delta = -sum_k G_k Delta^k, by
-explicit multinomial resummation (eigenvalue_explicit) or by literal
-fixed-point iteration (_eigenvalue_selfconsistent).
+explicit multinomial resummation (eigenvalue_explicit).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import ConvergenceError, ResonanceError
@@ -367,34 +366,11 @@ def eigenvalue_implicit(n, lam, K: int) -> QSeries:
     return _JointSolver(n, lam, K, budget=0).solve().energy
 
 
-def alpha_elliptic(n, lam, K: int, budget: int) -> dict:
-    """Coefficient table m -> QSeries alpha_n(m) through x-order K.
-
-    Support is truncated at raise degree <= budget in the raised
-    direction; lowered labels are kept while they can contribute within
-    order K.  A second solve at budget + 2 guards the truncation: the
-    retained coefficients are exact, so any discrepancy is a bug worth
-    shouting about, not a tolerance question.
-    """
-    pair = solve_elliptic(n, lam, K, budget)
-    wide = solve_elliptic(n, lam, K, budget + 2)
-    for m, ser in pair.coeffs.items():
-        if wide.coeffs.get(m) != ser:
-            warnings.warn(
-                f"coefficient at {m} changed under budget {budget} -> {budget + 2}; "
-                "the raise truncation is unstable",
-                stacklevel=2,
-            )
-    return pair.coeffs
-
-
 # ---------------------------------------------------------------------------
 # Independent eigenvalue route: closed hop loops and their gap weights.
 # ---------------------------------------------------------------------------
 
-_LOOP_CACHE = {}
-
-
+@lru_cache(maxsize=4)
 def _loops(N: int, K: int):
     """Closed hop sequences contributing through x-order K.
 
@@ -404,9 +380,6 @@ def _loops(N: int, K: int):
     excursions are capped by the box |P_t| <= K, which any loop of
     negative weight <= K must respect.
     """
-    key = (N, K)
-    if key in _LOOP_CACHE:
-        return _LOOP_CACHE[key]
     pairs = [(j, k) for j in range(1, N + 1) for k in range(j + 1, N + 1)]
     out = []
 
@@ -432,20 +405,13 @@ def _loops(N: int, K: int):
 
     if K >= 1 and N >= 2:
         extend([0] * (N - 1), 0, [])
-    _LOOP_CACHE[key] = out
     return out
-
-
-_G_CACHE = {}
 
 
 def _g_all(n, lam, K: int):
     """[G_0 .. G_K] for the base label n, sharing one loop enumeration."""
     n = check_admissible(n)
     lam = _rat(lam)
-    key = (n, lam, K)
-    if key in _G_CACHE:
-        return _G_CACHE[key]
     gamma = coupling(lam)
     N = len(n)
     Gs = [QSeries.zero(K) for _ in range(K + 1)]
@@ -479,16 +445,7 @@ def _g_all(n, lam, K: int):
             for k in range(K + 1):
                 if h[k] != 0:
                     Gs[k] = Gs[k] + sprod * (base * h[k])
-    _G_CACHE[key] = Gs
     return Gs
-
-
-def g_helper(k: int, n, lam, K: int) -> QSeries:
-    """Loop sum G_k(n): closed hop loops, gaps to the power 1 + l_r with
-    the multiplicities l summing to k, as an x-series through order K."""
-    if not 0 <= k <= K:
-        raise ValueError(f"need 0 <= k <= K, got k={k}, K={K}")
-    return _g_all(n, lam, K)[k]
 
 
 def eigenvalue_explicit(n, lam, K: int) -> QSeries:
@@ -527,61 +484,6 @@ def eigenvalue_explicit(n, lam, K: int) -> QSeries:
 
         rec(0, d, d - 1, QSeries.constant(_ONE, K), 1)
     return QSeries.constant(E0, K) + delta
-
-
-def _eigenvalue_selfconsistent(n, lam, K: int) -> QSeries:
-    """Literal fixed point of the loop-sum equation, as a cross-check.
-
-    Iterates Delta <- -sum_s gamma^s sum_loops prod_r 1/(D_r - Delta)
-    with series reciprocals; each pass extends the stationary part by at
-    least one x-order, so K + 2 passes must reach a fixed point.
-    """
-    n = check_admissible(n)
-    lam = _rat(lam)
-    E0 = bare_energy(n, lam)
-    gamma = coupling(lam)
-    if gamma == 0:
-        return QSeries.constant(E0, K)
-    N = len(n)
-    terms = []
-    for loop in _loops(N, K):
-        sprod = QSeries.constant(gamma ** len(loop), K)
-        pos = [0] * (N - 1)
-        Ds = []
-        for r, (j, k, nu) in enumerate(loop):
-            sprod = sprod * S_coeff(nu, K)
-            if r == len(loop) - 1:
-                break
-            for t in range(j - 1, k - 1):
-                pos[t] += nu
-            m = from_prefix(pos, n)
-            D = energy_gap(m, n, lam)
-            if D == 0:
-                raise ResonanceError(
-                    f"loop through the resonant label {m} has a zero gap",
-                    base=n,
-                    partner=m,
-                )
-            Ds.append(D)
-        terms.append((sprod, Ds))
-    delta = QSeries.zero(K)
-    for _ in range(K + 2):
-        acc = QSeries.zero(K)
-        for sprod, Ds in terms:
-            t = sprod
-            for D in Ds:
-                t = t * regularized_reciprocal(
-                    QSeries.constant(D, K) - delta, is_resonant_zero=False
-                )
-            acc = acc + t
-        new = -acc
-        if new == delta:
-            return QSeries.constant(E0, K) + delta
-        delta = new
-    raise ConvergenceError(
-        f"eigenvalue fixed point not stationary after {K + 2} passes; "
-        f"last correction {delta!r}"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -162,19 +162,3 @@ def S_coeff(nu: int, K: int) -> QSeries:
             coeffs[t] = Fraction(a)
     return QSeries(coeffs, K)
 
-
-def series_arith(a: QSeries, b: QSeries, op: str) -> QSeries:
-    """Dispatch helper for the four ring operations at a common order.
-
-    Mixed orders raise SeriesOrderError (never silently truncate);
-    division requires an invertible (nonzero constant term) divisor.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

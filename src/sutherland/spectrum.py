@@ -99,56 +99,6 @@ def apply_moves(n, mu) -> tuple:
     return tuple(m)
 
 
-def energy_shift(n, mu, lam):
-    """Closed form for bare_energy(n + moves) - bare_energy(n).
-
-    mu maps pairs (j, k), 1 <= j < k <= N, to non-negative weights:
-
-        sum_j ( 2 sum_{k>j} mu_{jk} [n_j - n_k + (k-j) lam]
-                + [sum_{k<j} mu_{kj} - sum_{k>j} mu_{jk}]^2 ).
-
-    Every summand is positive for admissible n and nonzero mu, which is
-    what rules out zero denominators in the series construction.
-    """
-    lam = _scalar(lam)
-    n = tuple(n)
-    N = len(n)
-    for (j, k), w in mu.items():
-        if not 1 <= j < k <= N:
-            raise ValueError(f"move indices must satisfy 1 <= j < k <= N, got ({j}, {k})")
-        if w < 0:
-            raise ValueError(f"move weights must be non-negative, got mu[{(j, k)}] = {w}")
-    out = 0 * lam
-    for j in range(1, N + 1):
-        for k in range(j + 1, N + 1):
-            out += 2 * mu.get((j, k), 0) * (n[j - 1] - n[k - 1] + (k - j) * lam)
-        net = sum(mu.get((k, j), 0) for k in range(1, j)) - sum(
-            mu.get((j, k), 0) for k in range(j + 1, N + 1)
-        )
-        out += net * net
-    return out
-
-
-def com_shift(n_tilde, p):
-    """Shift all pseudo-momenta by -p and return (shifted vector, energy).
-
-    Documents the center-of-mass convention: p = N lam / 2 relates the
-    at-rest convention used here to the unshifted one.
-    """
-    shifted = tuple(v - p for v in n_tilde)
-    return shifted, sum(v * v for v in shifted)
-
-
-def raise_degree(m, n) -> int:
-    """sum_j j (n_j - m_j); each two-site transfer raises it by nu*(k-j) >= 1."""
-    m, n = tuple(m), tuple(n)
-    if len(m) != len(n):
-        raise ValueError("length mismatch")
-    if sum(m) != sum(n):
-        raise ValueError(f"total momentum mismatch: sum{m} != sum{n}")
-    return sum((j + 1) * (n[j] - m[j]) for j in range(len(n)))
-
-
 def prefix_coords(m, n) -> tuple:
     """P_t = sum_{j<=t}(m_j - n_j), t = 1..N-1; bijective with m at fixed sum."""
     m, n = tuple(m), tuple(n)

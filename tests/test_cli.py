@@ -4,7 +4,6 @@ Runs everything in-process through cli.main so the tests exercise the
 same code path as the installed console script without subprocess cost.
 """
 import json
-import os
 
 import pytest
 
@@ -136,6 +135,13 @@ def test_non_finite_numbers_are_usage_errors(capsys):
         assert "not a finite number" in captured.err
 
 
+def test_run_config_rejects_non_finite_numbers():
+    # the argparse types are plain float; the check lives in the config,
+    # so direct callers of run() and the verify replay get it too
+    with pytest.raises(ValueError, match="not a finite number"):
+        RunConfig(subcommand="kernel", lam=2, q=0.1, n=(1, 0), points=((float("nan"), 1.0),))
+
+
 def test_coupling_is_required(capsys):
     for argv in (
         ["spectrum", "--n", "1,0"],
@@ -180,6 +186,29 @@ def test_residual_samples(capsys):
     assert code == 0
     assert data["residuals"]["max"] < 1e-4
     assert len(data["residuals"]["samples"]) == 2
+
+
+def test_points_run_solves_the_series_once(monkeypatch, capsys):
+    import sutherland.cli as cli
+    import sutherland.elliptic_solver as elliptic_solver
+
+    calls = []
+    original = elliptic_solver.solve_elliptic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_elliptic", counting)
+    monkeypatch.setattr(elliptic_solver, "solve_elliptic", counting)
+    code, data = _run_json(
+        capsys,
+        "solve-elliptic", "--n", "1,0", "--lambda", "2", "--K", "2",
+        "--budget", "4", "--q", "0.2", "--points", "0.9,2.17",
+    )
+    assert code == 0
+    assert len(data["residuals"]["samples"]) == 1
+    assert len(calls) == 1
 
 
 def test_check_identity_seeded(capsys):
@@ -247,6 +276,24 @@ def test_verify_rejects_garbage(tmp_path, capsys):
     bad.write_text("not json")
     assert main(["verify", str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_verify_rejects_non_finite_config(tmp_path, capsys):
+    # a NaN point once ran to a NaN kernel value, so a file holding both
+    # replayed to an exact match
+    nan = float("nan")
+    config = {
+        "format": "json", "lambda": 2, "n": [1, 0], "points": [[nan, 1.0]],
+        "q": 0.1, "subcommand": "kernel",
+    }
+    stored = {
+        "N": 2, "config": config, "lambda": 2, "n": [1, 0], "q": 0.1,
+        "rows": [{"point": [nan, 1.0], "value": {"im": nan, "re": nan}}],
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(stored, sort_keys=True, indent=2) + "\n")
+    assert main(["verify", str(path)]) == 1
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_csv_solve_trig(capsys):
@@ -342,23 +389,3 @@ def test_run_config_round_trip():
     assert back.lam == config.lam
     assert back.n == config.n
     assert back.points == config.points
-
-
-def test_thread_fanout_matches_serial(tmp_path):
-    args = [
-        "check-identity", "--N", "2", "--lambda", "2", "--q", "0.2",
-        "--trials", "8", "--seed", "11",
-    ]
-    serial, fanned = tmp_path / "s.json", tmp_path / "f.json"
-    old = os.environ.get("SUTHERLAND_THREADS")
-    try:
-        os.environ["SUTHERLAND_THREADS"] = "1"
-        assert main(args + ["--output", str(serial)]) == 0
-        os.environ["SUTHERLAND_THREADS"] = "4"
-        assert main(args + ["--output", str(fanned)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("SUTHERLAND_THREADS", None)
-        else:
-            os.environ["SUTHERLAND_THREADS"] = old
-    assert serial.read_bytes() == fanned.read_bytes()

@@ -8,8 +8,6 @@ from fractions import Fraction
 import pytest
 
 from sutherland.correlation import (
-    F_NM,
-    PlaneWave,
     Psi0Evaluator,
     QuadratureSpec,
     SeriesEvaluator,
@@ -18,17 +16,32 @@ from sutherland.correlation import (
     functional_identity_residual,
     kernel_batch,
     psi0,
-    vev_phase,
 )
 from sutherland.errors import BranchCutError, SingularityError
 from sutherland.spectrum import bare_energy
-from sutherland.theta import ThetaContext, theta_trig
+from sutherland.theta import ThetaContext
 from sutherland.trig_solver import alpha_recursive, eigenfunction_trig, hatF_trig
 
 CTX0 = ThetaContext.from_q(0.0)
 QUAD = QuadratureSpec()
 # fine grid for tests that pin closed forms to near machine precision
 QUAD128 = QuadratureSpec(points_per_circle=128)
+
+
+class PlaneWave:
+    """exp(i sum k_j x_j); the free sanity case."""
+
+    def __init__(self, kvec):
+        self.k = [float(v) for v in kvec]
+
+    def __call__(self, x) -> complex:
+        return cmath.exp(1j * sum(kj * xj for kj, xj in zip(self.k, x)))
+
+    def derivatives(self, x):
+        val = self(x)
+        grad = [1j * kj * val for kj in self.k]
+        second = [-(kj * kj) * val for kj in self.k]
+        return val, grad, second
 
 
 def c_poly(u, z, lam):
@@ -77,41 +90,6 @@ class TestQuadratureSpec:
         for N in (1, 2, 3, 4):
             q = QuadratureSpec.auto(ctx, N)
             q.validate(ctx, N)
-
-
-class TestFNM:
-    def test_two_point_function(self):
-        from sutherland.theta import theta_elliptic
-
-        ctx = ThetaContext.from_q(0.2)
-        x, y = 1.3, 0.4
-        for lam in (1, 2, 3):
-            want = float(theta_elliptic(x - y, ctx)) ** (-lam)
-            assert F_NM([x], [y], lam, ctx) == pytest.approx(want, rel=1e-12)
-
-    def test_lambda_zero_is_one(self):
-        ctx = ThetaContext.from_q(0.2)
-        assert F_NM([0.3, 1.9], [2.7, 4.0], 0, ctx) == 1.0
-
-    def test_power_law_in_lambda(self):
-        x, y = [0.3, 1.9], [2.7, 4.4]
-        assert F_NM(x, y, 2, CTX0) == pytest.approx(F_NM(x, y, 1, CTX0) ** 2, rel=1e-12)
-
-    def test_empty_partner_degenerates(self):
-        x = [0.5, 1.7, 3.0]
-        want = 1.0
-        for j in range(3):
-            for k in range(j + 1, 3):
-                want *= float(theta_trig(x[j] - x[k])) ** 2
-        assert F_NM(x, [], 2, CTX0) == pytest.approx(want, rel=1e-12)
-
-    def test_coincidence_rejected(self):
-        with pytest.raises(SingularityError):
-            F_NM([1.0], [1.0], 2, CTX0)
-
-    def test_balanced_phase_is_trivial(self):
-        assert vev_phase([0.3, 0.9], [1.4, 2.0], 2) == 1.0
-        assert abs(vev_phase([0.3, 0.9], [1.4], 2)) == pytest.approx(1.0)
 
 
 class TestPsi0:

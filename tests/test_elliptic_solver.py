@@ -5,7 +5,6 @@ recursion and independently re-derived through the loop-sum route before
 being pinned here; the two eigenvalue routes share no code beyond the
 gap formula.
 """
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -13,13 +12,11 @@ import pytest
 from sutherland.elliptic_solver import (
     EllipticEigenpair,
     _alpha_paths,
-    _eigenvalue_selfconsistent,
+    _g_all,
     _loops,
-    alpha_elliptic,
     eigenfunction_elliptic,
     eigenvalue_explicit,
     eigenvalue_implicit,
-    g_helper,
     regularized_reciprocal,
     solve_elliptic,
 )
@@ -134,8 +131,8 @@ def test_float_coupling_must_be_integral():
 
 
 def test_g_frozen_n10_lambda2():
-    assert g_helper(0, (1, 0), 2, K=2) == QSeries([0, -2, -11], 2)
-    assert g_helper(1, (1, 0), 2, K=1).coefficient(1) == F(5, 4)
+    assert _g_all((1, 0), 2, 2)[0] == QSeries([0, -2, -11], 2)
+    assert _g_all((1, 0), 2, 1)[1].coefficient(1) == F(5, 4)
 
 
 def test_g_leading_order_against_direct_two_step_sum():
@@ -148,7 +145,7 @@ def test_g_leading_order_against_direct_two_step_sum():
         for nu in (1, -1):
             m = (n[0] + nu, n[1] - nu)
             acc += F(1) / energy_gap(m, n, lam)
-        assert g_helper(0, n, lam, K=1) == QSeries([0, gamma * gamma * acc], 1)
+        assert _g_all(n, lam, 1)[0] == QSeries([0, gamma * gamma * acc], 1)
 
 
 def test_g_leading_order_three_particles():
@@ -156,12 +153,12 @@ def test_g_leading_order_three_particles():
     # loops built from +e12 +e23 -e13; for n = (2, 1, 0) at lambda = 2
     # the two-step loops give 16 * (-39/140) and the three-step loops
     # 64 * 3/560, totalling -144/35 (enumerated by hand)
-    assert g_helper(0, (2, 1, 0), 2, K=1) == QSeries([0, F(-144, 35)], 1)
+    assert _g_all((2, 1, 0), 2, 1)[0] == QSeries([0, F(-144, 35)], 1)
 
 
 def test_g_has_no_constant_term():
     for k in range(3):
-        assert g_helper(k, (2, 0), 2, K=3).coefficient(0) == 0
+        assert _g_all((2, 0), 2, 3)[k].coefficient(0) == 0
 
 
 def test_loop_enumerator_weight_law():
@@ -196,11 +193,6 @@ def test_implicit_equals_explicit_away_from_resonance():
         assert eigenvalue_implicit(n, lam, 3) == eigenvalue_explicit(n, lam, 3)
 
 
-def test_explicit_equals_fixed_point_iteration():
-    for n, lam in [((2, 0), 2), ((1, 0), 3)]:
-        assert eigenvalue_explicit(n, lam, 3) == _eigenvalue_selfconsistent(n, lam, 3)
-
-
 def test_explicit_route_hits_resonance_where_implicit_survives():
     # the gap vanishes three steps down from (1, 0) at lambda = 2; the
     # loop route must refuse at K = 3 while the joint solve passes the
@@ -231,19 +223,22 @@ def test_resonant_admixture_is_gauge_fixed_to_zero():
 
 
 def test_alpha_matches_path_sum():
-    table = alpha_elliptic((1, 0), 2, K=1, budget=3)
+    table = solve_elliptic((1, 0), 2, K=1, budget=3).coeffs
     paths = _alpha_paths((1, 0), 2, K=1, budget=3)
     assert table == paths
 
 
 def test_alpha_budget_is_stable():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        alpha_elliptic((2, 0), 2, K=2, budget=2)
+    # retained coefficients are exact: widening the raise budget by two
+    # leaves every one of them unchanged
+    narrow = solve_elliptic((2, 0), 2, K=2, budget=2).coeffs
+    wide = solve_elliptic((2, 0), 2, K=2, budget=4).coeffs
+    for m, ser in narrow.items():
+        assert wide.get(m) == ser
 
 
 def test_alpha_lambda_one():
-    assert alpha_elliptic((2, 1), 1, K=2, budget=3) == {(2, 1): one(2)}
+    assert solve_elliptic((2, 1), 1, K=2, budget=3).coeffs == {(2, 1): one(2)}
 
 
 # ---------------------------------------------------------------------------

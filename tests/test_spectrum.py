@@ -7,19 +7,60 @@ import pytest
 
 from sutherland.errors import AdmissibilityError
 from sutherland.spectrum import (
+    _scalar,
     apply_moves,
     bare_energy,
     check_admissible,
-    com_shift,
     coupling,
     energy_gap,
-    energy_shift,
     from_prefix,
     is_admissible,
     prefix_coords,
     pseudo_momenta,
-    raise_degree,
 )
+
+
+# Independent closed forms that the package's own routes are checked against.
+
+
+def energy_shift(n, mu, lam):
+    """Closed form for bare_energy(n + moves) - bare_energy(n).
+
+    mu maps pairs (j, k), 1 <= j < k <= N, to non-negative weights:
+
+        sum_j ( 2 sum_{k>j} mu_{jk} [n_j - n_k + (k-j) lam]
+                + [sum_{k<j} mu_{kj} - sum_{k>j} mu_{jk}]^2 ).
+
+    Every summand is positive for admissible n and nonzero mu, which is
+    what rules out zero denominators in the series construction.
+    """
+    lam = _scalar(lam)
+    n = tuple(n)
+    N = len(n)
+    for (j, k), w in mu.items():
+        if not 1 <= j < k <= N:
+            raise ValueError(f"move indices must satisfy 1 <= j < k <= N, got ({j}, {k})")
+        if w < 0:
+            raise ValueError(f"move weights must be non-negative, got mu[{(j, k)}] = {w}")
+    out = 0 * lam
+    for j in range(1, N + 1):
+        for k in range(j + 1, N + 1):
+            out += 2 * mu.get((j, k), 0) * (n[j - 1] - n[k - 1] + (k - j) * lam)
+        net = sum(mu.get((k, j), 0) for k in range(1, j)) - sum(
+            mu.get((j, k), 0) for k in range(j + 1, N + 1)
+        )
+        out += net * net
+    return out
+
+
+def raise_degree(m, n) -> int:
+    """sum_j j (n_j - m_j); each two-site transfer raises it by nu*(k-j) >= 1."""
+    m, n = tuple(m), tuple(n)
+    if len(m) != len(n):
+        raise ValueError("length mismatch")
+    if sum(m) != sum(n):
+        raise ValueError(f"total momentum mismatch: sum{m} != sum{n}")
+    return sum((j + 1) * (n[j] - m[j]) for j in range(len(n)))
 
 
 class TestPseudoMomenta:
@@ -82,26 +123,6 @@ class TestCoupling:
             lam = Fraction(k, 20)
             assert coupling(lam) >= Fraction(-1, 2)
         assert coupling(Fraction(1, 2)) == Fraction(-1, 2)
-
-
-class TestComShift:
-    def test_identity_at_zero(self):
-        nt = pseudo_momenta((1, 0), 2)
-        shifted, energy = com_shift(nt, 0)
-        assert shifted == nt
-        assert energy == bare_energy((1, 0), 2)
-
-    def test_centered_single_particle(self):
-        nt = pseudo_momenta((0,), 2)
-        shifted, energy = com_shift(nt, 1)
-        assert shifted == (0,)
-        assert energy == 0
-
-    def test_total_momentum_linearity(self):
-        nt = pseudo_momenta((3, 1, 0), Fraction(5, 2))
-        p = Fraction(7, 4)
-        shifted, _ = com_shift(nt, p)
-        assert sum(shifted) == sum(nt) - len(nt) * p
 
 
 class TestMovesAndShift:
