@@ -20,7 +20,7 @@ def main():
         lam = rng.choice(lams)
         budget = rng.randint(0, 4)
         a = alpha_recursive(n, lam, budget)
-        b = alpha_explicit(n, lam, s_max=budget, budget=budget)
+        b = alpha_explicit(n, lam, budget)
         assert a == b, (n, lam, budget)
         print(f"trial {trial:2d}: n={n} lam={lam} budget={budget}"
               f" -> {len(a.entries)} entries, equal")

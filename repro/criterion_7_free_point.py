@@ -19,7 +19,7 @@ def main():
     t0 = time.perf_counter()
     for n in [(2, 0), (3, 1), (5, 2), (2, 1, 0), (4, 1, -2)]:
         assert alpha_recursive(n, 1, 4).entries == {n: 1}
-        assert alpha_explicit(n, 1, s_max=4, budget=4).entries == {n: 1}
+        assert alpha_explicit(n, 1, 4).entries == {n: 1}
         e0 = bare_energy(n, 1)
         pair = solve_elliptic(n, 1, 3, 4)
         assert pair.energy == QSeries.constant(e0, 3)

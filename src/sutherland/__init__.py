@@ -51,11 +51,9 @@ from .correlation import (
 )
 from .elliptic_solver import (
     EllipticEigenpair,
-    eigenfunction_elliptic,
     eigenfunction_evaluator,
     eigenvalue_explicit,
     eigenvalue_implicit,
-    regularized_reciprocal,
     solve_elliptic,
 )
 from .fock import (
@@ -115,11 +113,9 @@ __all__ = [
     "functional_identity_residual",
     "kernel_batch",
     "EllipticEigenpair",
-    "eigenfunction_elliptic",
     "eigenfunction_evaluator",
     "eigenvalue_explicit",
     "eigenvalue_implicit",
-    "regularized_reciprocal",
     "solve_elliptic",
     "FockSector",
     "Quad",

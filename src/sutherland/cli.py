@@ -13,6 +13,7 @@ re-runs that configuration and checks the stored result byte for byte.
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import json
 import math
@@ -61,27 +62,6 @@ _EXIT_CONVERGENCE = 4
 # Configuration.
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "subcommand",
-    "lam",
-    "N",
-    "n",
-    "q",
-    "beta",
-    "K",
-    "budget",
-    "quad_points",
-    "points",
-    "x",
-    "trials",
-    "tol",
-    "seed",
-    "charge",
-    "level",
-    "conjectures",
-    "order",
-    "fmt",
-)
 _PAYLOAD_NAMES = {"lam": "lambda", "fmt": "format"}
 
 
@@ -127,9 +107,9 @@ class RunConfig:
 
     def payload(self) -> dict:
         out = {}
-        for key in _CONFIG_KEYS:
-            val = getattr(self, key)
-            if val is None or (key == "conjectures" and not val):
+        for f in fields(self):
+            key, val = f.name, getattr(self, f.name)
+            if key in ("output", "file") or val is None or (key == "conjectures" and not val):
                 continue
             out[_PAYLOAD_NAMES.get(key, key)] = val
         return out
@@ -246,7 +226,7 @@ def _jsonable(obj):
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_atomic(path: str | None, text: str) -> None:
@@ -405,6 +385,8 @@ def _cmd_solve_elliptic(config: RunConfig):
             if len(pt) != len(n):
                 raise ValueError("each sample point needs one coordinate per particle")
             value = psi(list(pt))
+            if value == 0 or not cmath.isfinite(value):
+                raise ConvergenceError(f"psi at {list(pt)} leaves double precision: {value}")
             ham = apply_hamiltonian(psi, list(pt), lam_num, ctx)
             residual = abs(ham - energy * value) / abs(value)
             values.append(residual)

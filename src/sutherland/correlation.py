@@ -36,6 +36,7 @@ from .spectrum import coupling
 from .theta import (
     _TINY,
     ThetaContext,
+    big_theta,
     log_theta_derivs,
     potential_elliptic,
     theta_elliptic,
@@ -138,40 +139,26 @@ def psi0(x, lam, ctx: ThetaContext) -> complex:
 def _big_theta_pow(w: np.ndarray, lam, ctx: ThetaContext) -> np.ndarray:
     """Theta(w)^lam, factor-by-factor principal powers for non-integer lam."""
     lf = float(lam)
-    q2 = ctx.q * ctx.q
     if lf == int(lf):
-        out = 1.0 - w
-        fac = 1.0
-        for _ in range(ctx.m_max):
-            fac *= q2
-            out = out * (1.0 - fac * w) * (1.0 - fac / w)
-        return out ** int(lf)
+        return big_theta(w, ctx) ** int(lf)
     out = np.power(1.0 - w, lf)
-    fac = 1.0
-    for _ in range(ctx.m_max):
-        fac *= q2
+    for fac in ctx.factors:
         out = out * np.power(1.0 - fac * w, lf) * np.power(1.0 - fac / w, lf)
     return out
 
 
 def _glog(w: np.ndarray, ctx: ThetaContext) -> np.ndarray:
     """d/dw log Theta(w) as a sum of per-factor log-derivatives."""
-    q2 = ctx.q * ctx.q
     out = -1.0 / (1.0 - w)
-    fac = 1.0
-    for _ in range(ctx.m_max):
-        fac *= q2
+    for fac in ctx.factors:
         out = out - fac / (1.0 - fac * w) + (fac / (w * w)) / (1.0 - fac / w)
     return out
 
 
 def _glog_prime(w: np.ndarray, ctx: ThetaContext) -> np.ndarray:
     """d^2/dw^2 log Theta(w)."""
-    q2 = ctx.q * ctx.q
     out = -1.0 / (1.0 - w) ** 2
-    fac = 1.0
-    for _ in range(ctx.m_max):
-        fac *= q2
+    for fac in ctx.factors:
         out = out - fac * fac / (1.0 - fac * w) ** 2
         den = w * w - fac * w
         out = out - fac * (2.0 * w - fac) / (den * den)
@@ -232,6 +219,8 @@ class _KernelGrid:
                     g = _glog(w, ctx)
                     L[j] = L[j] - lf * 1j * w * g
                     Lp[j] = Lp[j] + lf * (w * g + w * w * _glog_prime(w, ctx))
+        if not np.isfinite(W).all():
+            raise ConvergenceError(f"kernel integrand at x={x} overflows at lambda={lam}")
         self.W = W
         self.L = L
         self.Lp = Lp

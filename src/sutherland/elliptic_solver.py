@@ -119,28 +119,6 @@ def _is_zero(v):
 
 
 # ---------------------------------------------------------------------------
-# Regularized series reciprocal of an energy denominator.
-# ---------------------------------------------------------------------------
-
-
-def regularized_reciprocal(delta0: QSeries, is_resonant_zero: bool) -> QSeries:
-    """Reciprocal of an energy-gap series with the identical-label rule.
-
-    delta0 is the gap series E0(m) - E(x).  A label reached by a net-zero
-    shift (m = n) is discarded outright: the result is the zero series.
-    For m != n a vanishing constant term is a genuine resonance and is
-    reported, never inverted.
-    """
-    if is_resonant_zero:
-        return QSeries.zero(delta0.order)
-    if delta0.coefficient(0) == 0:
-        raise ResonanceError(
-            "zero unperturbed energy gap for a label distinct from the base"
-        )
-    return delta0.reciprocal()
-
-
-# ---------------------------------------------------------------------------
 # Joint order-by-order solve for the eigenvalue and the coefficients.
 # ---------------------------------------------------------------------------
 
@@ -541,9 +519,7 @@ def _alpha_paths(n, lam, K: int, budget: int) -> dict:
                         base=n,
                         partner=m,
                     )
-                denom = regularized_reciprocal(
-                    QSeries.constant(D, K) - delta, is_resonant_zero=False
-                )
+                denom = (QSeries.constant(D, K) - delta).reciprocal()
                 wnext = weight * S_coeff(nu, K) * denom * gamma
                 if wnext.is_zero():
                     continue
@@ -589,11 +565,3 @@ def eigenfunction_evaluator(
         if c != 0:
             coeffs[m] = c
     return SeriesEvaluator(coeffs, lam_num, ctx, quad), pair
-
-
-def eigenfunction_elliptic(
-    x, n, lam, q: float, K: int, budget: int, quad, tail_tol: float = 1e-2
-) -> complex:
-    """Psi(x; n) = sum_m alpha_n(m)(q^2) * P(x; m) * Psi_0(x) at nome q."""
-    psi, _ = eigenfunction_evaluator(n, lam, q, K, budget, quad, tail_tol)
-    return psi(list(map(float, x)))

@@ -196,7 +196,6 @@ class SectorOperator:
 
     sector: FockSector
     matrix: tuple
-    level_shift: int = 0
 
     def entry(self, mu_out, mu_in):
         return self.matrix[self.sector.index(mu_out)][self.sector.index(mu_in)]
@@ -246,7 +245,7 @@ def compose(A: SectorOperator, B: SectorOperator) -> SectorOperator:
                 if rowb[j] == 0:
                     continue
                 out[i][j] = out[i][j] + a * rowb[j]
-    return SectorOperator(A.sector, _freeze(out), A.level_shift + B.level_shift)
+    return SectorOperator(A.sector, _freeze(out))
 
 
 def commutator(A: SectorOperator, B: SectorOperator) -> SectorOperator:
@@ -255,7 +254,7 @@ def commutator(A: SectorOperator, B: SectorOperator) -> SectorOperator:
         [AB.matrix[i][j] - BA.matrix[i][j] for j in range(A.sector.dim)]
         for i in range(A.sector.dim)
     ]
-    return SectorOperator(A.sector, _freeze(rows), 0)
+    return SectorOperator(A.sector, _freeze(rows))
 
 
 def frobenius_norm(A: SectorOperator) -> float:
@@ -371,17 +370,12 @@ def op_W3(sector: FockSector, lam) -> SectorOperator:
     return SectorOperator(sector, _freeze(rows))
 
 
-def op_H(sector: FockSector, lam, zero_mode_offset=0) -> SectorOperator:
-    """sqrt(lam) W3 - ((3 lam - 2)/12) Q + (1 - lam) C, plus an optional
-    per-charge scalar offset.
+def op_H(sector: FockSector, lam) -> SectorOperator:
+    """sqrt(lam) W3 - ((3 lam - 2)/12) Q + (1 - lam) C.
 
-    The offset calibrates the zero-mode ordering convention; fitting it
-    so that the level-0 eigenvalue equals the constant-label energy at
-    lam = 1 and lam = 2 gives exactly zero, which is the default.  At
-    other couplings the raw level-0 value is lam^2 c^3 / 3 -
-    (3 lam - 2) c / 12, which exceeds the constant-label energy by
-    c (lam - 1)(lam - 2) / 12; that residual is deliberately surfaced
-    by the tests rather than hidden here.
+    The level-0 eigenvalue is lam^2 c^3 / 3 - (3 lam - 2) c / 12, which
+    exceeds the constant-label energy by c (lam - 1)(lam - 2) / 12; the
+    tests pin that residual.
     """
     lam = Fraction(lam)
     root = Quad(0, 1, lam)
@@ -391,7 +385,7 @@ def op_H(sector: FockSector, lam, zero_mode_offset=0) -> SectorOperator:
         [root * w3.matrix[i][j] + (1 - lam) * cop.matrix[i][j] for j in range(sector.dim)]
         for i in range(sector.dim)
     ]
-    shift = Fraction(zero_mode_offset) - Fraction(3 * lam - 2, 12) * sector.charge
+    shift = -Fraction(3 * lam - 2, 12) * sector.charge
     for i in range(sector.dim):
         rows[i][i] = rows[i][i] + shift
     return SectorOperator(sector, _freeze(rows))

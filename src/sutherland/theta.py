@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import ConvergenceError, SingularityError
 
 _TINY = 1e-14
 
@@ -35,34 +36,39 @@ _TINY = 1e-14
 class ThetaContext:
     """Truncation context for the infinite products and lattice sums.
 
-    m_max is chosen so the dropped factors differ from 1 by less than tol:
-    q^{2 m_max} <= tol.  At q = 0 every product collapses to its first
-    factor and m_max = 0.
+    m_max is the least depth with q^{2 m_max} <= TOL, so the dropped
+    factors differ from 1 by less than TOL; a nome that needs more than
+    MAX_DEPTH factors raises ConvergenceError.  factors holds q^{2n} for
+    n = 1..m_max, derived from q and m_max and not settable; every
+    truncated theta product and sum iterates over it.  At q = 0 it is
+    empty and every product collapses to its first factor.
     """
 
     q: float
     beta: float
     m_max: int
-    tol: float = 1e-15
 
+    TOL = 1e-15
     MAX_DEPTH = 10**4
 
+    @cached_property
+    def factors(self) -> tuple:
+        return tuple(self.q ** (2 * n) for n in range(1, self.m_max + 1))
+
     @classmethod
-    def from_q(cls, q: float, tol: float = 1e-15, m_max: int | None = None) -> "ThetaContext":
+    def from_q(cls, q: float) -> "ThetaContext":
         if not 0.0 <= q < 1.0:
             raise ValueError(f"nome must satisfy 0 <= q < 1, got {q}")
         if q == 0.0:
-            return cls(q=0.0, beta=math.inf, m_max=0, tol=tol)
+            return cls(q=0.0, beta=math.inf, m_max=0)
         beta = -2.0 * math.log(q)
-        if m_max is None:
-            m_max = min(cls.MAX_DEPTH, max(1, math.ceil(math.log(tol) / (2.0 * math.log(q)))))
-        return cls(q=q, beta=beta, m_max=m_max, tol=tol)
-
-    @classmethod
-    def from_beta(cls, beta: float, tol: float = 1e-15, m_max: int | None = None) -> "ThetaContext":
-        if beta <= 0.0:
-            raise ValueError(f"inverse width must be positive, got {beta}")
-        return cls.from_q(math.exp(-beta / 2.0), tol=tol, m_max=m_max)
+        m_max = max(1, math.ceil(math.log(cls.TOL) / (2.0 * math.log(q))))
+        if m_max > cls.MAX_DEPTH:
+            raise ConvergenceError(
+                f"nome q={q} needs {m_max} theta factors to reach {cls.TOL}, "
+                f"more than the cap {cls.MAX_DEPTH}"
+            )
+        return cls(q=q, beta=beta, m_max=m_max)
 
 
 def theta_trig(r):
@@ -74,11 +80,8 @@ def theta_elliptic(r, ctx: ThetaContext):
     """Deformed building block sin(r/2) prod_n (1 - 2 q^{2n} cos r + q^{4n})."""
     r = np.asarray(r, dtype=float)
     out = np.sin(r / 2.0)
-    if ctx.q == 0.0:
-        return out
     c = np.cos(r)
-    for n in range(1, ctx.m_max + 1):
-        q2n = ctx.q ** (2 * n)
+    for q2n in ctx.factors:
         out = out * (1.0 - 2.0 * q2n * c + q2n * q2n)
     return out
 
@@ -92,8 +95,7 @@ def big_theta(xi, ctx: ThetaContext):
     if np.any(np.abs(xi) < _TINY):
         raise SingularityError("Theta requires a nonzero argument")
     out = 1.0 - xi
-    for m in range(1, ctx.m_max + 1):
-        q2m = ctx.q ** (2 * m)
+    for q2m in ctx.factors:
         out = out * (1.0 - q2m * xi) * (1.0 - q2m / xi)
     return out
 
@@ -117,11 +119,8 @@ def log_theta_derivs(r, ctx: ThetaContext, order: int = 1):
         out = 0.5 * np.cos(r / 2.0) / s_half
     else:
         out = -0.25 / (s_half * s_half)
-    if ctx.q == 0.0:
-        return out
     s, c = np.sin(r), np.cos(r)
-    for n in range(1, ctx.m_max + 1):
-        q2n = ctx.q ** (2 * n)
+    for q2n in ctx.factors:
         d = 1.0 - 2.0 * q2n * c + q2n * q2n
         if order == 1:
             out = out + 2.0 * q2n * s / d

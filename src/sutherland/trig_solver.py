@@ -37,7 +37,6 @@ __all__ = [
     "CoefficientTable",
     "alpha_recursive",
     "alpha_explicit",
-    "hatF_trig",
     "eigenfunction_trig",
     "oracle_diagonalize",
 ]
@@ -136,14 +135,13 @@ def alpha_recursive(n, lam, budget: int) -> CoefficientTable:
     return CoefficientTable(base=n, lam=lam, budget=budget, entries=entries)
 
 
-def alpha_explicit(n, lam, s_max: int, budget: int) -> CoefficientTable:
+def alpha_explicit(n, lam, budget: int) -> CoefficientTable:
     """Evaluate the explicit hop-path sum for the same coefficients.
 
-    alpha_n(m) = delta_{mn} + sum over paths of s <= s_max positive hops
-    (j, k, nu) leading from n to m within the raise budget, each path
-    weighing gamma^s * prod(nu_r) / prod(partial energy gaps).  Since
-    every hop raises the grade by at least one, s_max = budget exhausts
-    the sum.
+    alpha_n(m) = delta_{mn} + sum over paths of s positive hops (j, k, nu)
+    leading from n to m within the raise budget, each path weighing
+    gamma^s * prod(nu_r) / prod(partial energy gaps).  Every hop raises
+    the grade by at least one, so the budget bounds the path length.
     """
     n = check_admissible(n)
     N = len(n)
@@ -155,9 +153,7 @@ def alpha_explicit(n, lam, s_max: int, budget: int) -> CoefficientTable:
 
     entries: dict[tuple, object] = {n: one}
 
-    def walk(P, r, s, weight):
-        if s == s_max:
-            return
+    def walk(P, r, weight):
         for j in range(1, N):
             for k in range(j + 1, N + 1):
                 span = k - j
@@ -169,21 +165,12 @@ def alpha_explicit(n, lam, s_max: int, budget: int) -> CoefficientTable:
                     m = from_prefix(Pnew, n)
                     w = weight * gamma * nu / energy_gap(m, n, lam)
                     entries[m] = entries.get(m, 0) + w
-                    walk(Pnew, r + nu * span, s + 1, w)
+                    walk(Pnew, r + nu * span, w)
                     nu += 1
 
-    walk((0,) * (N - 1), 0, 0, one)
+    walk((0,) * (N - 1), 0, one)
     entries = {m: c for m, c in entries.items() if c != 0}
     return CoefficientTable(base=n, lam=lam, budget=budget, entries=entries)
-
-
-def hatF_trig(x, m, lam, quad) -> complex:
-    """Free-mode kernel at q = 0: contour-quadrature kernel times ground factor."""
-    from .correlation import cP_kernel, psi0
-    from .theta import ThetaContext
-
-    ctx = ThetaContext.from_q(0.0)
-    return cP_kernel(x, m, lam, ctx, quad) * psi0(x, lam, ctx)
 
 
 def eigenfunction_trig(x, n, lam, budget: int, quad) -> complex:

@@ -142,7 +142,7 @@ def test_criterion_2_coefficient_cross_check(capfd):
         lam = rng.choice(lams)
         budget = rng.randint(0, 4)
         a = alpha_recursive(n, lam, budget)
-        b = alpha_explicit(n, lam, s_max=budget, budget=budget)
+        b = alpha_explicit(n, lam, budget)
         assert a == b  # exact Fraction equality, table for table
     _report(
         capfd, 2, "recursive == explicit coefficients", True,
@@ -342,7 +342,7 @@ def test_criterion_7_free_point_collapse(capfd):
     for n in cases:
         table = alpha_recursive(n, 1, 4)
         assert table.entries == {n: 1}
-        assert alpha_explicit(n, 1, s_max=4, budget=4).entries == {n: 1}
+        assert alpha_explicit(n, 1, 4).entries == {n: 1}
         pair = solve_elliptic(n, 1, 3, 4)
         e0 = bare_energy(n, 1)
         assert pair.energy == QSeries.constant(e0, 3)

@@ -109,6 +109,34 @@ def test_truncation_guard_exits_4(capsys):
     assert data["error"]["kind"] == "convergence"
 
 
+def test_theta_depth_cap_exits_4(capsys):
+    # q = 0.999 needs 17261 theta factors, more than MAX_DEPTH
+    code, data = _run_json(capsys, "theta", "--q", "0.999", "--x", "0.9")
+    assert code == 4
+    assert data["error"]["kind"] == "convergence"
+
+
+def test_kernel_overflow_exits_4(capsys):
+    code, data = _run_json(
+        capsys, "kernel", "--n", "1,0", "--lambda", "2000", "--q", "0.1",
+        "--points", "0.9,2.17",
+    )
+    assert code == 4
+    assert data["error"]["kind"] == "convergence"
+
+
+def test_solve_elliptic_overflow_exits_4(capsys):
+    # the kernel integrand overflows at lambda 1000; at lambda 200 psi
+    # underflows to zero at a near-collision
+    for lam, points in (("1000", "0.9,2.17"), ("200", "0.9,0.93")):
+        code, data = _run_json(
+            capsys, "solve-elliptic", "--n", "1,0", "--lambda", lam, "--q", "0.01",
+            "--K", "1", "--budget", "1", "--points", points,
+        )
+        assert code == 4
+        assert data["error"]["kind"] == "convergence"
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["solve-trig", "--lambda"])
@@ -389,3 +417,21 @@ def test_run_config_round_trip():
     assert back.lam == config.lam
     assert back.n == config.n
     assert back.points == config.points
+
+
+def test_module_entry_point():
+    import os
+    import subprocess
+    import sys
+
+    import sutherland
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sutherland.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sutherland", "spectrum", "--N", "1", "--lambda", "2", "--n", "0"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["energy"] == 1

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sutherland.correlation import (
@@ -19,8 +20,9 @@ from sutherland.correlation import (
 )
 from sutherland.errors import BranchCutError, SingularityError
 from sutherland.spectrum import bare_energy
-from sutherland.theta import ThetaContext
-from sutherland.trig_solver import alpha_recursive, eigenfunction_trig, hatF_trig
+from sutherland.correlation import _big_theta_pow
+from sutherland.theta import ThetaContext, big_theta
+from sutherland.trig_solver import alpha_recursive, eigenfunction_trig
 
 CTX0 = ThetaContext.from_q(0.0)
 QUAD = QuadratureSpec()
@@ -168,18 +170,27 @@ class TestKernel:
             cP_kernel([0.1, 0.9, 1.7, 2.5, 3.3], (0,) * 5, 2, CTX0, QUAD)
 
 
+class TestSingleTruncation:
+    def test_integer_power_is_the_product_power(self):
+        # the kernel and theta iterate over one factor table, so the
+        # integer power is bit-identical to the power of the product
+        ctx = ThetaContext.from_q(0.2)
+        w = math.exp(-0.5) * np.exp(2j * np.pi * np.arange(64) / 64)
+        assert (_big_theta_pow(w, 2, ctx) == big_theta(w, ctx) ** 2).all()
+
+
 class TestHatF:
     def test_single_particle_modulus(self):
         # |hatF| = C(lam+n-1, n), constant in x; the n = 0 instance is 1
         for lam, n, want in [(2, 0, 1.0), (2, 1, 2.0), (2, 3, 4.0), (3, 2, 6.0)]:
             for x in (0.3, 2.2):
-                got = abs(hatF_trig([x], (n,), lam, QUAD128))
+                got = abs(cP_kernel([x], (n,), lam, CTX0, QUAD128) * psi0([x], lam, CTX0))
                 assert got == pytest.approx(want, rel=1e-11)
 
     def test_rest_label_proportional_to_ground(self):
-        # m = (0,0): the kernel is exactly constant, so hatF ~ psi0
+        # m = (0,0): the kernel is exactly 1, so hatF = psi0
         for x in ([0.5, 1.7], [2.0, 4.1]):
-            ratio = hatF_trig(x, (0, 0), 2, QUAD) / psi0(x, 2, CTX0)
+            ratio = cP_kernel(x, (0, 0), 2, CTX0, QUAD)
             assert ratio == pytest.approx(1.0, rel=1e-11)
 
 

@@ -14,10 +14,9 @@ from sutherland.elliptic_solver import (
     _alpha_paths,
     _g_all,
     _loops,
-    eigenfunction_elliptic,
+    eigenfunction_evaluator,
     eigenvalue_explicit,
     eigenvalue_implicit,
-    regularized_reciprocal,
     solve_elliptic,
 )
 from sutherland.correlation import QuadratureSpec
@@ -31,32 +30,6 @@ QUAD = QuadratureSpec()
 
 def one(K):
     return QSeries.constant(F(1), K)
-
-
-# ---------------------------------------------------------------------------
-# regularized reciprocal
-# ---------------------------------------------------------------------------
-
-
-def test_regularized_reciprocal_identical_label_is_dropped():
-    gap = QSeries([0, -2, 5], 2)
-    assert regularized_reciprocal(gap, True) == QSeries.zero(2)
-
-
-def test_regularized_reciprocal_constant():
-    assert regularized_reciprocal(QSeries.constant(8, 0), False) == QSeries(
-        [F(1, 8)], 0
-    )
-
-
-def test_regularized_reciprocal_zero_gap_raises():
-    with pytest.raises(ResonanceError):
-        regularized_reciprocal(QSeries([0, 3, 1], 2), False)
-
-
-def test_regularized_reciprocal_is_series_inverse():
-    gap = QSeries([8, 1, 0, -3], 3)
-    assert gap * regularized_reciprocal(gap, False) == one(3)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +221,14 @@ def test_alpha_lambda_one():
 
 def test_eigenfunction_at_zero_nome_reduces_to_trig():
     x = [0.9, 2.17]
-    a = eigenfunction_elliptic(x, (1, 0), 2, q=0.0, K=2, budget=4, quad=QUAD)
+    a = eigenfunction_evaluator((1, 0), 2, q=0.0, K=2, budget=4, quad=QUAD)[0](x)
     b = eigenfunction_trig(x, (1, 0), 2, budget=4, quad=QUAD)
     assert abs(a - b) < 1e-10 * max(1.0, abs(b))
 
 
 def test_eigenfunction_tail_guard_fires_at_large_nome():
     with pytest.raises(ConvergenceError):
-        eigenfunction_elliptic([0.9, 2.17], (1, 0), 2, q=0.5, K=2, budget=4, quad=QUAD)
+        eigenfunction_evaluator((1, 0), 2, q=0.5, K=2, budget=4, quad=QUAD)
 
 
 def test_eigenpair_reports_inputs():

@@ -232,14 +232,6 @@ def test_H_level0_calibration_residual():
             assert raw.p - egs == F(c * (lam - 1) * (lam - 2), 12)
 
 
-def test_H_offset_parameter_shifts_diagonal():
-    s = build_sector(2, 1)
-    base = op_H(s, 3)
-    shifted = op_H(s, 3, zero_mode_offset=F(-1, 3))
-    assert shifted.entry((), ()) == base.entry((), ()) - F(1, 3)
-    assert shifted.entry((1,), (1,)) == base.entry((1,), (1,)) - F(1, 3)
-
-
 # ---------------------------------------------------------------------------
 # the third-order operator
 # ---------------------------------------------------------------------------
@@ -356,7 +348,7 @@ def test_compose_respects_level_shift_bookkeeping():
     s = build_sector(1, 3)
     h0 = op_H0(s, 2)
     prod = compose(h0, h0)
-    assert prod.level_shift == 0
+    assert prod.is_level_preserving()
     assert prod.entry((2,), (2,)) == 9  # (1 + 2)^2
 
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sutherland.errors import SingularityError
+from sutherland.errors import ConvergenceError, SingularityError
 from sutherland.theta import (
     ThetaContext,
     big_theta,
@@ -49,18 +49,25 @@ class TestContext:
         assert math.isinf(ctx.beta)
 
     def test_depth_heuristic(self):
-        ctx = ThetaContext.from_q(0.2, tol=1e-15)
-        # q^(2 m_max) <= tol: ceil(ln tol / (2 ln q)) = 11
+        ctx = ThetaContext.from_q(0.2)
+        # q^(2 m_max) <= TOL: ceil(ln TOL / (2 ln q)) = 11
         assert ctx.m_max == 11
-        assert 0.2 ** (2 * ctx.m_max) <= 1e-15
+        assert 0.2 ** (2 * ctx.m_max) <= ThetaContext.TOL
+
+    def test_factor_table(self):
+        ctx = ThetaContext.from_q(0.2)
+        assert len(ctx.factors) == ctx.m_max
+        for n in range(1, ctx.m_max + 1):
+            assert ctx.factors[n - 1] == 0.2 ** (2 * n)
+        assert ThetaContext.from_q(0.0).factors == ()
 
     def test_depth_cap(self):
-        ctx = ThetaContext.from_q(0.999)
-        assert ctx.m_max == ThetaContext.MAX_DEPTH
-
-    def test_from_beta_roundtrip(self):
-        ctx = ThetaContext.from_beta(3.0)
-        assert ctx.q == pytest.approx(math.exp(-1.5), rel=1e-15)
+        # 0.999 needs 17261 factors, past MAX_DEPTH; 0.998 needs 8627
+        with pytest.raises(ConvergenceError):
+            ThetaContext.from_q(0.999)
+        ctx = ThetaContext.from_q(0.998)
+        assert ctx.m_max <= ThetaContext.MAX_DEPTH
+        assert 0.998 ** (2 * ctx.m_max) <= ThetaContext.TOL
 
 
 class TestTheta:

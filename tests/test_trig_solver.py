@@ -65,12 +65,8 @@ class TestRecursive:
 
 
 class TestExplicit:
-    def test_zero_paths_is_delta(self):
-        t = alpha_explicit((2, 0), 2, s_max=0, budget=3)
-        assert t.entries == {(2, 0): 1}
-
     def test_free_point(self):
-        t = alpha_explicit((2, 0), 1, s_max=3, budget=3)
+        t = alpha_explicit((2, 0), 1, 3)
         assert t.entries == {(2, 0): 1}
 
     def test_matches_recursive_exactly(self):
@@ -82,7 +78,7 @@ class TestExplicit:
             lam = rng.choice(lams)
             budget = rng.randint(1, 4)
             a = alpha_recursive(n, lam, budget)
-            b = alpha_explicit(n, lam, s_max=budget, budget=budget)
+            b = alpha_explicit(n, lam, budget)
             assert a == b
 
     def test_budget_grading_monotone(self):
