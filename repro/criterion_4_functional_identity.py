@@ -2,7 +2,7 @@
 """Criterion 4: the two-sided eigenoperator identity for the correlation
 ratio holds at every tested parameter set.
 
-Drives the installed CLI: one `check-identity` job per (N, lam, q) with
+Drives the CLI as `python -m sutherland`: one `check-identity` job per (N, lam, q) with
 100 collision-free pairs each; every max residual must clear 1e-7.
 """
 import json
@@ -20,7 +20,7 @@ def main():
             for q in (0.0, 0.2, 0.4):
                 out = subprocess.run(
                     [
-                        "sutherland", "check-identity",
+                        sys.executable, "-m", "sutherland", "check-identity",
                         "--N", str(N), "--lambda", str(lam), "--q", str(q),
                         "--trials", "100", "--tol", "1e-7", "--seed", str(seed),
                     ],

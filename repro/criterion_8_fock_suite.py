@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Criterion 8: finite sector suite for the operator realization.
 
-Drives the installed CLI once per (charge, level, lam): every invariant
+Drives the CLI as `python -m sutherland` once per (charge, level, lam):
+every invariant
 check must pass (vacuum annihilation, exact commutation with the level
 operator, Gram-hermiticity, generating-functional assembly matching the
 direct constructions), and the commutator norm of the two conserved
@@ -10,6 +11,7 @@ polynomials' vanishing order is checked through the API.
 """
 import json
 import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ def main():
             for lam in (2, 3):
                 out = subprocess.run(
                     [
-                        "sutherland", "fock-verify",
+                        sys.executable, "-m", "sutherland", "fock-verify",
                         "--charge", str(charge), "--level", str(level),
                         "--lambda", str(lam), "--conjectures",
                     ],

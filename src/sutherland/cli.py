@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .correlation import QuadratureSpec, apply_hamiltonian, cP_kernel, functional_identity_residual
-from .elliptic_solver import eigenfunction_evaluator, solve_elliptic
+from .elliptic_solver import eigenfunction_evaluator, solve_elliptic, tail_proxy
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -355,12 +355,12 @@ def _cmd_solve_elliptic(config: RunConfig):
         psi, pair = eigenfunction_evaluator(n, lam, qn, K, budget, quad)
     else:
         pair = solve_elliptic(n, lam, K, budget)
+    tail = tail_proxy(pair, qn)
     xval = qn * qn
     records = [
         {"label": list(m), "series": series}
         for m, series in sorted(pair.coeffs.items())
     ]
-    tail = abs(float(pair.energy.coefficient(K))) * xval**K
     payload = {
         "K": K,
         "N": len(n),

@@ -203,24 +203,30 @@ class _KernelGrid:
         self.nodes = [math.exp(quad.epsilon * (j + 1)) * ring for j in range(N)]
         grids = np.meshgrid(*self.nodes, indexing="ij", sparse=True)
 
-        W = np.ones((M,) * N, dtype=complex)
-        for j in range(N):
-            for k in range(j + 1, N):
-                W = W * _big_theta_pow(grids[j] / grids[k], lam, ctx)
         z = [cmath.exp(1j * v) for v in x]
-        lf = float(lam)
-        L = [np.zeros((M,) * N, dtype=complex) for _ in range(N)] if derivs else None
-        Lp = [np.zeros((M,) * N, dtype=complex) for _ in range(N)] if derivs else None
-        for j in range(N):
-            for k in range(N):
-                w = z[j] / grids[k]
-                W = W / _big_theta_pow(w, lam, ctx)
-                if derivs:
+        # an integrand past double range is refused by the finiteness check
+        # below, without numpy warnings ahead of the refusal
+        with np.errstate(all="ignore"):
+            W = np.ones((M,) * N, dtype=complex)
+            for j in range(N):
+                for k in range(j + 1, N):
+                    W = W * _big_theta_pow(grids[j] / grids[k], lam, ctx)
+            for j in range(N):
+                for k in range(N):
+                    W = W / _big_theta_pow(z[j] / grids[k], lam, ctx)
+        if not np.isfinite(W).all():
+            raise ConvergenceError(f"kernel integrand at x={x} overflows at lambda={lam}")
+        L = Lp = None
+        if derivs:
+            lf = float(lam)
+            L = [np.zeros((M,) * N, dtype=complex) for _ in range(N)]
+            Lp = [np.zeros((M,) * N, dtype=complex) for _ in range(N)]
+            for j in range(N):
+                for k in range(N):
+                    w = z[j] / grids[k]
                     g = _glog(w, ctx)
                     L[j] = L[j] - lf * 1j * w * g
                     Lp[j] = Lp[j] + lf * (w * g + w * w * _glog_prime(w, ctx))
-        if not np.isfinite(W).all():
-            raise ConvergenceError(f"kernel integrand at x={x} overflows at lambda={lam}")
         self.W = W
         self.L = L
         self.Lp = Lp

@@ -19,25 +19,29 @@ multisets, and when that degeneracy is never lifted within the computed
 orders the symbol survives every constraint: the admixture of the
 degenerate partner is then genuine gauge freedom and the reported table
 fixes it to zero.  An inconsistent resonant row, a symbol that leaks
-into the eigenvalue, or a resonant denominator on the loop-sum routes
-raises ResonanceError instead of silently producing garbage.
+into the eigenvalue, or a degenerate symmetric label with a nonzero row
+on the monomial route raises ResonanceError instead of silently
+producing garbage.
 
-The loop-sum route re-derives the eigenvalue independently of the joint
-solve: G_k(n) sums closed hop loops weighted by complete homogeneous
-polynomials in the inverse gaps at the intermediate points, and the
-correction Delta = E - E0(n) solves Delta = -sum_k G_k Delta^k, by
-explicit multinomial resummation (eigenvalue_explicit).
+The monomial route re-derives the eigenvalue independently of the joint
+solve (eigenvalue_explicit): it expands the eigenfunction over symmetric
+monomials times the trigonometric ground factor, with no hop weights,
+no kernel labels and no raise budget, and solves the conjugated
+Hamiltonian order by order, triangular in dominance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from heapq import heappop, heappush
+from itertools import permutations
 
 from .errors import ConvergenceError, ResonanceError
 from .qseries import QSeries, S_coeff
-from .spectrum import bare_energy, check_admissible, coupling, energy_gap, from_prefix
+from .spectrum import (
+    bare_energy, check_admissible, coupling, energy_gap, from_prefix, is_admissible,
+)
+from .trig_solver import _dominates, _pair_action, _prefix_key
 
 # scratch orders beyond the reported truncation; one order is needed to
 # pin a symbol born at the last reported order, the second is margin
@@ -345,194 +349,114 @@ def eigenvalue_implicit(n, lam, K: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Independent eigenvalue route: closed hop loops and their gap weights.
+# Independent eigenvalue route: order by order on symmetric monomials.
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=4)
-def _loops(N: int, K: int):
-    """Closed hop sequences contributing through x-order K.
-
-    A loop is a tuple of steps (j, k, nu), j < k, nu != 0, whose partial
-    prefix sums never revisit zero before the end.  Each negative step
-    costs x^|nu|, so the total negative weight is capped at K; positive
-    excursions are capped by the box |P_t| <= K, which any loop of
-    negative weight <= K must respect.
-    """
-    pairs = [(j, k) for j in range(1, N + 1) for k in range(j + 1, N + 1)]
-    out = []
-
-    def extend(pos, w, steps):
-        for (j, k) in pairs:
-            lo, hi = j - 1, k - 1
-            seg = range(lo, hi)
-            top = min(K - pos[t] for t in seg)
-            bot = -min(K - w, min(pos[t] + K for t in seg))
-            for nu in range(bot, top + 1):
-                if nu == 0:
-                    continue
-                wn = w + (-nu if nu < 0 else 0)
-                posn = list(pos)
-                for t in seg:
-                    posn[t] += nu
-                if all(v == 0 for v in posn):
-                    out.append(tuple(steps + [(j, k, nu)]))
-                    continue
-                if wn + max(0, max(posn)) > K:
-                    continue
-                extend(posn, wn, steps + [(j, k, nu)])
-
-    if K >= 1 and N >= 2:
-        extend([0] * (N - 1), 0, [])
-    return out
-
-
-def _g_all(n, lam, K: int):
-    """[G_0 .. G_K] for the base label n, sharing one loop enumeration."""
-    n = check_admissible(n)
-    lam = _rat(lam)
-    gamma = coupling(lam)
-    N = len(n)
-    Gs = [QSeries.zero(K) for _ in range(K + 1)]
-    if gamma != 0:
-        for loop in _loops(N, K):
-            sprod = QSeries.constant(gamma ** len(loop), K)
-            pos = [0] * (N - 1)
-            invD = []
-            for r, (j, k, nu) in enumerate(loop):
-                sprod = sprod * S_coeff(nu, K)
-                if r == len(loop) - 1:
-                    break
-                for t in range(j - 1, k - 1):
-                    pos[t] += nu
-                m = from_prefix(pos, n)
-                D = energy_gap(m, n, lam)
-                if D == 0:
-                    raise ResonanceError(
-                        f"loop through the resonant label {m} has a zero gap",
-                        base=n,
-                        partner=m,
-                    )
-                invD.append(_ONE / D)
-            # complete homogeneous weights h_k(invD), built incrementally
-            h = [_ONE] + [_ZERO] * K
-            base = _ONE
-            for v in invD:
-                base *= v
-                for t in range(1, K + 1):
-                    h[t] = h[t] + v * h[t - 1]
-            for k in range(K + 1):
-                if h[k] != 0:
-                    Gs[k] = Gs[k] + sprod * (base * h[k])
-    return Gs
 
 
 def eigenvalue_explicit(n, lam, K: int) -> QSeries:
-    """Eigenvalue series by multinomial resummation of the loop sums.
+    """Eigenvalue series from the conjugated Hamiltonian on symmetric monomials.
 
-    The correction Delta = E - E0(n) satisfies Delta = -sum_k G_k Delta^k;
-    unrolling gives, at depth d, the signed sum over all products
-    prod_j G_j^{k_j} with sum k_j = d and sum j k_j = d - 1, weighted by
-    the multinomial (d-1)! / prod k_j!.  Every G_j is O(x), so depth K
-    exhausts x-order K.
-    """
-    n = check_admissible(n)
-    lam = _rat(lam)
-    E0 = bare_energy(n, lam)
-    if coupling(lam) == 0:
-        return QSeries.constant(E0, K)
-    Gs = _g_all(n, lam, K)
-    delta = QSeries.zero(K)
-    for d in range(1, K + 1):
-        sign = -1 if d % 2 else 1
+    Write Psi = psi0_trig sum_M x^M p_M and E = sum_M x^M E_M, each p_M a
+    finite map from decreasing labels nu to the coefficient of m_nu.
+    Conjugation by the trigonometric ground factor leaves H'_trig (bare
+    energy on the diagonal plus the pair action, triangular in dominance)
+    and gamma sum_{j<k} Delta V, whose x^t term is
+    -sum_{d | t} d sum_{j != k} z_j^d z_k^-d.  Order M solves
 
-        # enumerate k_0..k_{d-1} with sum = d and weighted sum = d - 1
-        def rec(j, units, wsum, term, denom):
-            nonlocal delta
-            if j == d:
-                if units == 0 and wsum == 0:
-                    coef = Fraction(sign * factorial(d - 1), denom)
-                    delta = delta + term * coef
-                return
-            kmax = units if j == 0 else min(units, wsum // j)
-            for kj in range(kmax + 1):
-                t = term
-                for _ in range(kj):
-                    t = t * Gs[j]
-                rec(j + 1, units - kj, wsum - j * kj, t, denom * factorial(kj))
+        (H'_trig - E_0) p_M - E_M p_0 = -gamma sum_t Delta V_t p_{M-t}
+                                        + sum_{0<t<M} E_t p_{M-t}
 
-        rec(0, d, d - 1, QSeries.constant(_ONE, K), 1)
-    return QSeries.constant(E0, K) + delta
-
-
-# ---------------------------------------------------------------------------
-# Path-sum form of the coefficients, as an independent cross-check.
-# ---------------------------------------------------------------------------
-
-
-def _alpha_paths(n, lam, K: int, budget: int) -> dict:
-    """Coefficient table by direct summation over hop paths.
-
-    Each path n -> m contributes gamma^s prod_r S_{nu_r} / (E0(p_r) - E)
-    with the full eigenvalue series E in every denominator and paths
-    re-visiting n discarded.  Exponentially many terms; used to validate
-    the joint solve at small budgets, not to compute with.
+    row by row from the top of dominance: row n gives E_M (gauge: p_M has
+    no m_n term for M >= 1), every other row divides by its gap.  A zero
+    gap that meets a nonzero row raises ResonanceError.
     """
     n = check_admissible(n)
     lam = _rat(lam)
     gamma = coupling(lam)
-    N = len(n)
-    one = QSeries.constant(_ONE, K)
-    if gamma == 0 or N == 1:
-        return {n: one}
-    delta = eigenvalue_implicit(n, lam, K) - QSeries.constant(
-        bare_energy(n, lam), K
-    )
-    pairs = [(j, k) for j in range(1, N + 1) for k in range(j + 1, N + 1)]
-    box_hi = budget + (N - 1) * K
-    out = {}
+    E, p = [bare_energy(n, lam)], []
+    acc, rows = {}, []  # per row: right-hand side minus the solved part
 
-    def visit(pos, w, weight):
-        P = tuple(pos)
-        if any(t < -K for t in P) or sum(P) > budget:
-            pass
-        else:
-            m = from_prefix(P, n)
-            out[m] = out.get(m, QSeries.zero(K)) + weight
-        for (j, k) in pairs:
-            seg = range(j - 1, k - 1)
-            top = min(box_hi - pos[t] for t in seg)
-            bot = -min(K - w, min(pos[t] + K for t in seg))
-            for nu in range(bot, top + 1):
-                if nu == 0:
+    def push(mu, v):
+        if mu not in acc:
+            acc[mu] = _ZERO
+            # rows pop in decreasing _prefix_key, a linear extension of dominance
+            heappush(rows, ([-s for s in _prefix_key(mu)], mu))
+        acc[mu] += v
+
+    for M in range(K + 1):
+        push(n, _ZERO)
+        for t in range(1, M + 1):
+            for nu, c in p[M - t].items():
+                for mu, d in _dV_terms(nu, t):
+                    push(mu, gamma * d * c)
+                if t < M:
+                    push(nu, E[t] * c)
+        pM = {}
+        while rows:
+            nu = heappop(rows)[1]
+            r = acc.pop(nu)
+            if nu == n:
+                if M:  # gauge: p_M has no m_n term, so row n gives E_M
+                    E.append(-r)
+                    for mu, c in p[0].items():
+                        if mu != n:
+                            push(mu, -r * c)
                     continue
-                wn = w + (-nu if nu < 0 else 0)
-                posn = list(pos)
-                for t in seg:
-                    posn[t] += nu
-                if all(v == 0 for v in posn):
-                    continue  # paths through the base label are discarded
-                m = from_prefix(posn, n)
-                D = energy_gap(m, n, lam)
-                if D == 0:
+                a = _ONE
+            else:
+                gap = bare_energy(nu, lam) - E[0]
+                if gap == 0 and r != 0:
                     raise ResonanceError(
-                        f"path through the resonant label {m} has a zero gap",
+                        f"symmetric label {nu} is degenerate with {n} and its "
+                        f"row at order {M} is {r} != 0",
                         base=n,
-                        partner=m,
+                        partner=nu,
                     )
-                denom = (QSeries.constant(D, K) - delta).reciprocal()
-                wnext = weight * S_coeff(nu, K) * denom * gamma
-                if wnext.is_zero():
+                if r == 0:
                     continue
-                visit(posn, wn, wnext)
+                a = r / gap
+            pM[nu] = a
+            # off-diagonal part of H'_trig m_nu, read at decreasing labels
+            for mu, c in _pair_action(nu, lam).items():
+                if mu != nu and is_admissible(mu):
+                    assert _dominates(nu, mu), "pair action left the dominance cone"
+                    push(mu, -c * a)
+        p.append(pM)
+    return QSeries(E, K)
 
-    visit([0] * (N - 1), 0, one)
-    out[n] = one
-    return {m: s for m, s in out.items() if not s.is_zero()}
+
+def _dV_terms(nu, t):
+    """(label, d) for every term of -Delta V_t m_nu at a decreasing label."""
+    for sigma in set(permutations(nu)):
+        for j, k in permutations(range(len(nu)), 2):
+            for d in range(1, t + 1):
+                mono = list(sigma)
+                mono[j] += d
+                mono[k] -= d
+                if t % d == 0 and is_admissible(mono):
+                    yield tuple(mono), d
 
 
 # ---------------------------------------------------------------------------
 # Eigenfunction assembly at numeric nome.
 # ---------------------------------------------------------------------------
+
+
+def tail_proxy(pair: EllipticEigenpair, q: float, tail_tol: float = 1e-2) -> float:
+    """Last retained eigenvalue term at nome q, the series' tail proxy.
+
+    No convergence bound is available; above tail_tol x max(1, |E0|) the
+    proxy raises ConvergenceError.
+    """
+    xval = float(q) * float(q)
+    e0 = abs(float(pair.energy.coefficient(0)))
+    tail = abs(float(pair.energy.coefficient(pair.K))) * xval**pair.K
+    if tail > tail_tol * max(1.0, e0):
+        raise ConvergenceError(
+            f"series tail proxy {tail:.3e} at q={q} exceeds {tail_tol} x scale; "
+            "increase K or decrease q"
+        )
+    return tail
 
 
 def eigenfunction_evaluator(
@@ -541,22 +465,14 @@ def eigenfunction_evaluator(
     """Point evaluator for Psi(.; n) at nome q, plus the solved pair.
 
     The series are exact in x = q^2 through order K and then evaluated
-    numerically; the magnitude of the last retained eigenvalue term,
-    relative to the constant term, serves as the tail proxy since no
-    convergence bound is available.
+    numerically, once their tail proxy passes tail_tol.
     """
     from .correlation import SeriesEvaluator
     from .theta import ThetaContext
 
     pair = solve_elliptic(n, lam, K, budget)
+    tail_proxy(pair, q, tail_tol)
     xval = float(q) * float(q)
-    e0 = abs(float(pair.energy.coefficient(0)))
-    tail = abs(float(pair.energy.coefficient(K))) * xval**K
-    if tail > tail_tol * max(1.0, e0):
-        raise ConvergenceError(
-            f"series tail proxy {tail:.3e} at q={q} exceeds {tail_tol} x scale; "
-            "increase K or decrease q"
-        )
     ctx = ThetaContext.from_q(float(q))
     lam_num = int(pair.lam) if pair.lam == int(pair.lam) else float(pair.lam)
     coeffs = {}

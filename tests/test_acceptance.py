@@ -260,15 +260,20 @@ def test_criterion_5_elliptic_eigenvalue_consistency(capfd):
         Fraction(2): [(2, 0), (3, 0), (3, 1), (4, 2), (5, 1)],
         Fraction(3): [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)],
     }
-    for lam, ns in instances.items():
-        for n in ns:
-            a = eigenvalue_implicit(n, lam, 3)
-            b = eigenvalue_explicit(n, lam, 3)
-            assert a == b  # exact rational series through order 3
-            assert all(isinstance(c, Fraction) for c in a.coeffs)
+    cases = [(n, lam, 3) for lam, ns in instances.items() for n in ns]
+    # labels with a degenerate partner (non-symmetric for (1, 0) at K=3)
+    cases += [((1, 0), Fraction(2), 3)] + [
+        (n, Fraction(2), 2) for n in [(1, 0, 0), (2, 0, 0), (2, 1, 0)]
+    ]
+    for n, lam, K in cases:
+        a = eigenvalue_implicit(n, lam, K)
+        b = eigenvalue_explicit(n, lam, K)
+        assert a == b  # exact rational series through order K
+        assert all(isinstance(c, Fraction) for c in a.coeffs)
     _report(
         capfd, 5, "implicit == explicit eigenvalue series", True,
-        "N=2, lam=2,3, five labels each, K=3, exact",
+        "N=2, lam=2,3, five labels each, K=3; (1,0) at lam=2, K=3; "
+        "N=3 (1,0,0), (2,0,0), (2,1,0) at lam=2, K=2; exact",
         time.perf_counter() - t0, 600.0,
     )
 
@@ -289,22 +294,26 @@ def _residual_points(rng, count=10):
 
 def test_criterion_6_elliptic_eigenfunction_residual(capfd):
     t0 = time.perf_counter()
-    n, lam, q = (1, 0), 2, 0.2
+    n, q = (1, 0), 0.2
     quad = QuadratureSpec()
     ctx = ThetaContext.from_q(q)
     points = _residual_points(np.random.default_rng(7))
-    worst_by_K = []
-    for K in (1, 2, 3):
-        psi, pair = eigenfunction_evaluator(n, lam, q, K, 6, quad, tail_tol=10.0)
-        energy = float(pair.energy.evaluate(q * q))
-        worst = 0.0
-        for x in points:
-            value = psi(x)
-            res = abs(apply_hamiltonian(psi, x, lam, ctx) - energy * value) / abs(value)
-            worst = max(worst, res)
-        worst_by_K.append(worst)
-    assert worst_by_K[2] < 1e-4
-    assert worst_by_K[0] > worst_by_K[1] > worst_by_K[2]  # monotone in K
+    sweeps = {}
+    # lam = 3/2 runs the non-integer branch of the kernel integrand
+    for lam in (2, Fraction(3, 2)):
+        worst_by_K = []
+        for K in (1, 2, 3):
+            psi, pair = eigenfunction_evaluator(n, lam, q, K, 6, quad, tail_tol=10.0)
+            energy = float(pair.energy.evaluate(q * q))
+            worst = 0.0
+            for x in points:
+                value = psi(x)
+                res = abs(apply_hamiltonian(psi, x, lam, ctx) - energy * value) / abs(value)
+                worst = max(worst, res)
+            worst_by_K.append(worst)
+        assert worst_by_K[2] < 1e-4
+        assert worst_by_K[0] > worst_by_K[1] > worst_by_K[2]  # monotone in K
+        sweeps[lam] = worst_by_K
 
     # the bare ground factor stops solving the problem once q > 0
     ctx3 = ThetaContext.from_q(0.3)
@@ -323,10 +332,13 @@ def test_criterion_6_elliptic_eigenfunction_residual(capfd):
     )
     assert on < 1e-10  # exact eigenfunction at q=0
     assert off > 1e-2  # visibly broken at q=0.3
+    detail = "; ".join(
+        f"lam={lam} K=1,2,3 residuals {w[0]:.2e} > {w[1]:.2e} > {w[2]:.2e} < 1e-4"
+        for lam, w in sweeps.items()
+    )
     _report(
         capfd, 6, "elliptic eigenfunction residual", True,
-        f"K=1,2,3 residuals {worst_by_K[0]:.2e} > {worst_by_K[1]:.2e} >"
-        f" {worst_by_K[2]:.2e} < 1e-4; ground factor at q=0.3: {off:.2e} > 1e-2",
+        f"{detail}; ground factor at q=0.3: {off:.2e} > 1e-2",
         time.perf_counter() - t0, 600.0,
     )
 

@@ -109,6 +109,18 @@ def test_truncation_guard_exits_4(capsys):
     assert data["error"]["kind"] == "convergence"
 
 
+def test_tail_guard_is_the_same_with_and_without_points(capsys):
+    # q = 0.99 at K = 1 leaves a tail proxy of 1.96 against a limit of 0.17;
+    # a run without sample points is refused by the same rule
+    args = ("solve-elliptic", "--n", "1,0", "--lambda", "2", "--q", "0.99",
+            "--K", "1", "--budget", "2")
+    for extra in ((), ("--points", "0.9,2.17")):
+        code, data = _run_json(capsys, *args, *extra)
+        assert code == 4
+        assert data["error"]["kind"] == "convergence"
+        assert data["error"]["message"].startswith("series tail proxy 1.960e+00")
+
+
 def test_theta_depth_cap_exits_4(capsys):
     # q = 0.999 needs 17261 theta factors, more than MAX_DEPTH
     code, data = _run_json(capsys, "theta", "--q", "0.999", "--x", "0.9")
@@ -116,16 +128,17 @@ def test_theta_depth_cap_exits_4(capsys):
     assert data["error"]["kind"] == "convergence"
 
 
-def test_kernel_overflow_exits_4(capsys):
+def test_kernel_overflow_exits_4(capsys, recwarn):
     code, data = _run_json(
         capsys, "kernel", "--n", "1,0", "--lambda", "2000", "--q", "0.1",
         "--points", "0.9,2.17",
     )
     assert code == 4
     assert data["error"]["kind"] == "convergence"
+    assert not recwarn.list  # the refusal comes without numpy warnings
 
 
-def test_solve_elliptic_overflow_exits_4(capsys):
+def test_solve_elliptic_overflow_exits_4(capsys, recwarn):
     # the kernel integrand overflows at lambda 1000; at lambda 200 psi
     # underflows to zero at a near-collision
     for lam, points in (("1000", "0.9,2.17"), ("200", "0.9,0.93")):
@@ -135,6 +148,7 @@ def test_solve_elliptic_overflow_exits_4(capsys):
         )
         assert code == 4
         assert data["error"]["kind"] == "convergence"
+    assert not recwarn.list  # the refusals come without numpy warnings
 
 
 def test_usage_error_exits_1():

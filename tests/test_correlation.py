@@ -21,7 +21,7 @@ from sutherland.correlation import (
 from sutherland.errors import BranchCutError, SingularityError
 from sutherland.spectrum import bare_energy
 from sutherland.correlation import _big_theta_pow
-from sutherland.theta import ThetaContext, big_theta
+from sutherland.theta import ThetaContext, big_theta, theta_elliptic
 from sutherland.trig_solver import alpha_recursive, eigenfunction_trig
 
 CTX0 = ThetaContext.from_q(0.0)
@@ -116,6 +116,22 @@ class TestPsi0:
             for k in range(j + 1, 3):
                 want *= abs(math.sin(0.5 * (x[j] - x[k]))) ** 2
         assert abs(psi0(x, 2, CTX0)) == pytest.approx(want, rel=1e-12)
+
+    def test_non_integer_power_keeps_the_sign(self):
+        # branch convention at non-integer lam: theta^lam is
+        # sign(theta)^floor(lam) |theta|^lam, so at lam = 3/2 a negative
+        # theta flips the sign of psi0
+        lam = Fraction(3, 2)
+        ctx = ThetaContext.from_q(0.2)
+        x = [0.9, 2.17]
+        th = float(theta_elliptic(x[0] - x[1], ctx))
+        assert th < 0
+        want = (
+            cmath.exp(0.5j * 2 * float(lam) * sum(x))
+            * math.copysign(1.0, th) ** math.floor(lam)
+            * abs(th) ** float(lam)
+        )
+        assert psi0(x, lam, ctx) == pytest.approx(want, rel=1e-12)
 
 
 class TestKernel:

@@ -1,19 +1,19 @@
 """Elliptic series solver: frozen ladders, cross-route agreement, resonances.
 
 The frozen numbers below were computed by hand from the order-by-order
-recursion and independently re-derived through the loop-sum route before
-being pinned here; the two eigenvalue routes share no code beyond the
-gap formula.
+recursion and independently re-derived through a second eigenvalue
+route before being pinned here; the two eigenvalue routes, the joint
+hop solve and the symmetric-monomial solve, share only the bare energy,
+the coupling and the series type.  The path sum `alpha_paths` is the
+oracle for the joint solve's coefficient table.
 """
 from fractions import Fraction as F
 
 import pytest
 
+import sutherland.elliptic_solver as elliptic_solver
 from sutherland.elliptic_solver import (
     EllipticEigenpair,
-    _alpha_paths,
-    _g_all,
-    _loops,
     eigenfunction_evaluator,
     eigenvalue_explicit,
     eigenvalue_implicit,
@@ -22,7 +22,13 @@ from sutherland.elliptic_solver import (
 from sutherland.correlation import QuadratureSpec
 from sutherland.errors import AdmissibilityError, ConvergenceError, ResonanceError
 from sutherland.qseries import QSeries, S_coeff
-from sutherland.spectrum import bare_energy, coupling, energy_gap
+from sutherland.spectrum import (
+    bare_energy,
+    check_admissible,
+    coupling,
+    energy_gap,
+    from_prefix,
+)
 from sutherland.trig_solver import alpha_recursive, eigenfunction_trig
 
 QUAD = QuadratureSpec()
@@ -30,6 +36,67 @@ QUAD = QuadratureSpec()
 
 def one(K):
     return QSeries.constant(F(1), K)
+
+
+def alpha_paths(n, lam, K: int, budget: int) -> dict:
+    """Coefficient table by direct summation over hop paths.
+
+    Each path n -> m contributes gamma^s prod_r S_{nu_r} / (E0(p_r) - E)
+    with the full eigenvalue series E in every denominator and paths
+    re-visiting n discarded.  Exponentially many terms; used to validate
+    the joint solve at small budgets, not to compute with.
+    """
+    n = check_admissible(n)
+    lam = F(lam)
+    gamma = coupling(lam)
+    N = len(n)
+    one = QSeries.constant(F(1), K)
+    if gamma == 0 or N == 1:
+        return {n: one}
+    delta = eigenvalue_implicit(n, lam, K) - QSeries.constant(
+        bare_energy(n, lam), K
+    )
+    pairs = [(j, k) for j in range(1, N + 1) for k in range(j + 1, N + 1)]
+    box_hi = budget + (N - 1) * K
+    out = {}
+
+    def visit(pos, w, weight):
+        P = tuple(pos)
+        if any(t < -K for t in P) or sum(P) > budget:
+            pass
+        else:
+            m = from_prefix(P, n)
+            out[m] = out.get(m, QSeries.zero(K)) + weight
+        for (j, k) in pairs:
+            seg = range(j - 1, k - 1)
+            top = min(box_hi - pos[t] for t in seg)
+            bot = -min(K - w, min(pos[t] + K for t in seg))
+            for nu in range(bot, top + 1):
+                if nu == 0:
+                    continue
+                wn = w + (-nu if nu < 0 else 0)
+                posn = list(pos)
+                for t in seg:
+                    posn[t] += nu
+                if all(v == 0 for v in posn):
+                    continue  # paths through the base label are discarded
+                m = from_prefix(posn, n)
+                D = energy_gap(m, n, lam)
+                if D == 0:
+                    raise ResonanceError(
+                        f"path through the resonant label {m} has a zero gap",
+                        base=n,
+                        partner=m,
+                    )
+                denom = (QSeries.constant(D, K) - delta).reciprocal()
+                wnext = weight * S_coeff(nu, K) * denom * gamma
+                if wnext.is_zero():
+                    continue
+                visit(posn, wn, wnext)
+
+    visit([0] * (N - 1), 0, one)
+    out[n] = one
+    return {m: s for m, s in out.items() if not s.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -99,61 +166,29 @@ def test_float_coupling_must_be_integral():
 
 
 # ---------------------------------------------------------------------------
-# loop sums
+# first order by hand
 # ---------------------------------------------------------------------------
 
 
-def test_g_frozen_n10_lambda2():
-    assert _g_all((1, 0), 2, 2)[0] == QSeries([0, -2, -11], 2)
-    assert _g_all((1, 0), 2, 1)[1].coefficient(1) == F(5, 4)
-
-
 def test_g_leading_order_against_direct_two_step_sum():
-    # for two particles the only loops alive at x-order 1 are the
-    # two-step round trips (nu, -nu) with nu = +/-1, so G_0 starts as
-    # gamma^2 sum over 1/gap
+    # for two particles the order-x correction is second-order perturbation
+    # theory in the two round trips through n +/- (1, -1):
+    # E_1 = -gamma^2 sum_{nu = +/-1} 1/gap
     for n, lam in [((1, 0), 2), ((2, 0), 3), ((5, 1), 2)]:
         gamma = coupling(lam)
         acc = F(0)
         for nu in (1, -1):
             m = (n[0] + nu, n[1] - nu)
             acc += F(1) / energy_gap(m, n, lam)
-        assert _g_all(n, lam, 1)[0] == QSeries([0, gamma * gamma * acc], 1)
+        assert eigenvalue_explicit(n, lam, 1).coefficient(1) == -gamma * gamma * acc
 
 
 def test_g_leading_order_three_particles():
-    # with three particles the order-x loop sum picks up six three-step
+    # with three particles the order-x hop-loop sum picks up six three-step
     # loops built from +e12 +e23 -e13; for n = (2, 1, 0) at lambda = 2
     # the two-step loops give 16 * (-39/140) and the three-step loops
-    # 64 * 3/560, totalling -144/35 (enumerated by hand)
-    assert _g_all((2, 1, 0), 2, 1)[0] == QSeries([0, F(-144, 35)], 1)
-
-
-def test_g_has_no_constant_term():
-    for k in range(3):
-        assert _g_all((2, 0), 2, 3)[k].coefficient(0) == 0
-
-
-def test_loop_enumerator_weight_law():
-    # every emitted loop closes, never revisits the base in between, and
-    # its hop-weight product starts exactly at x^(total negative weight)
-    for N, K in [(2, 3), (3, 2)]:
-        loops = _loops(N, K)
-        assert loops
-        for loop in loops:
-            pos = [0] * (N - 1)
-            for r, (j, k, nu) in enumerate(loop):
-                for t in range(j - 1, k - 1):
-                    pos[t] += nu
-                interior = r < len(loop) - 1
-                assert (not interior) or any(pos)
-            assert not any(pos)
-            w = sum(-nu for _, _, nu in loop if nu < 0)
-            assert w <= K
-            prod = one(K)
-            for _, _, nu in loop:
-                prod = prod * S_coeff(nu, K)
-            assert all(prod.coefficient(t) == 0 for t in range(min(w, K + 1)))
+    # 64 * 3/560, totalling -144/35 (enumerated by hand), so E_1 = 144/35
+    assert eigenvalue_explicit((2, 1, 0), 2, 1).coefficient(1) == F(144, 35)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +202,48 @@ def test_implicit_equals_explicit_away_from_resonance():
 
 
 def test_explicit_route_hits_resonance_where_implicit_survives():
-    # the gap vanishes three steps down from (1, 0) at lambda = 2; the
-    # loop route must refuse at K = 3 while the joint solve passes the
-    # consistent resonant row and keeps an exact eigenvalue
-    with pytest.raises(ResonanceError):
-        eigenvalue_explicit((1, 0), 2, 3)
-    assert eigenvalue_implicit((1, 0), 2, 2) == eigenvalue_explicit((1, 0), 2, 2)
-    e = eigenvalue_implicit((1, 0), 2, 3)
-    assert e.truncate(2) == QSeries([17, 2, F(17, 2)], 2)
-    assert isinstance(e.coefficient(3), F)
+    # the gap vanishes three steps down from (1, 0) at lambda = 2, at the
+    # non-symmetric partner (-2, 3); the joint solve passes the consistent
+    # resonant row, and the monomial route never meets the partner
+    e = eigenvalue_explicit((1, 0), 2, 3)
+    assert e == QSeries([17, 2, F(17, 2), F(-13, 4)], 3)
+    assert e == eigenvalue_implicit((1, 0), 2, 3)
+
+
+def test_explicit_route_passes_a_consistent_symmetric_degeneracy():
+    # (2, 2, -1) has the bare energy of (3, 0, 0) at every lambda; its row
+    # is 0 at each order, so the degenerate admixture is gauge-fixed to 0
+    # and the eigenvalue still matches the joint solve
+    for lam in (2, F(3, 2)):
+        assert bare_energy((2, 2, -1), lam) == bare_energy((3, 0, 0), lam)
+        assert eigenvalue_explicit((3, 0, 0), lam, 2) == eigenvalue_implicit(
+            (3, 0, 0), lam, 2
+        )
+
+
+def test_explicit_route_refuses_a_degenerate_row(monkeypatch):
+    # pretend (2, -1) is degenerate with (1, 0): its order-1 row is
+    # nonzero, so the route raises instead of dividing by zero
+    E0 = bare_energy((1, 0), 2)
+
+    def tied(nu, lam):
+        return E0 if tuple(nu) == (2, -1) else bare_energy(nu, lam)
+
+    monkeypatch.setattr(elliptic_solver, "bare_energy", tied)
+    with pytest.raises(ResonanceError) as exc:
+        eigenvalue_explicit((1, 0), 2, 1)
+    assert (exc.value.base, exc.value.partner) == ((1, 0), (2, -1))
+
+
+def test_explicit_route_frozen_values_at_lambda_three_halves():
+    # values of the retired hop-loop route; the joint solve raises on
+    # both inputs today, at a scratch order beyond K
+    assert eigenvalue_explicit((1, 0, 0), F(3, 2), 2) == QSeries(
+        [F(451, 16), F(111, 50), F(123303, 25000)], 2
+    )
+    assert eigenvalue_explicit((2, 1, 0), F(3, 2), 3) == QSeries(
+        [F(707, 16), F(51, 56), F(1153713, 175616), F(233923827, 275365888)], 3
+    )
 
 
 def test_resonant_admixture_is_gauge_fixed_to_zero():
@@ -197,7 +265,7 @@ def test_resonant_admixture_is_gauge_fixed_to_zero():
 
 def test_alpha_matches_path_sum():
     table = solve_elliptic((1, 0), 2, K=1, budget=3).coeffs
-    paths = _alpha_paths((1, 0), 2, K=1, budget=3)
+    paths = alpha_paths((1, 0), 2, K=1, budget=3)
     assert table == paths
 
 
